@@ -32,6 +32,7 @@ import (
 	"netloc/internal/mapping"
 	"netloc/internal/mpi"
 	"netloc/internal/simnet"
+	nstats "netloc/internal/stats"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
 )
@@ -411,7 +412,7 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		sum += l
 	}
 	stats.MeanLatency = sum / float64(len(latencies))
-	stats.P99Latency = quantile(latencies, 0.99)
+	stats.P99Latency = nstats.NearestRankSorted(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
 	stats.MeanQueueDelay = stats.MeanLatency - idealSum/float64(len(latencies))
 	if stats.MeanQueueDelay < 0 {
@@ -460,9 +461,9 @@ func linkBusyStats(stats *Stats, busyTime []float64) {
 		return
 	}
 	sort.Float64s(used)
-	stats.P50LinkBusyPct = clampPct(100 * used[len(used)/2] / stats.Makespan)
-	stats.P99LinkBusyPct = clampPct(100 * quantile(used, 0.99) / stats.Makespan)
-	stats.MaxLinkBusyPct = clampPct(100 * used[len(used)-1] / stats.Makespan)
+	stats.P50LinkBusyPct = nstats.ClampPct(100 * used[len(used)/2] / stats.Makespan)
+	stats.P99LinkBusyPct = nstats.ClampPct(100 * nstats.NearestRankSorted(used, 0.99) / stats.Makespan)
+	stats.MaxLinkBusyPct = nstats.ClampPct(100 * used[len(used)-1] / stats.Makespan)
 }
 
 // hotspotStats computes hotspot persistence: the makespan is divided
@@ -523,26 +524,4 @@ func hotspotStats(stats *Stats, st *simState, buckets int, t0 float64) {
 	if busyWindows > 0 {
 		stats.HotspotPersistence = float64(hottestWins) / float64(busyWindows)
 	}
-}
-
-// quantile returns the q-quantile of a sorted slice using the same
-// ceil-rank convention as simnet's P99.
-func quantile(sorted []float64, q float64) float64 {
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
-}
-
-// clampPct bounds a percentage to [0, 100] against float accumulation
-// overshoot.
-func clampPct(v float64) float64 {
-	if v > 100 {
-		return 100
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }

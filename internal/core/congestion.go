@@ -5,8 +5,9 @@ import (
 
 	"netloc/internal/congest"
 	"netloc/internal/mapping"
+	"netloc/internal/obs"
 	"netloc/internal/topology"
-	"netloc/internal/workloads"
+	"netloc/internal/trace"
 )
 
 // CongestionRow is one cell of the congestion experiment grid: one
@@ -43,37 +44,14 @@ var CongestionWorkloads = []WorkloadRef{
 // budget exactly like SimTable; rows stay in grid order (workload,
 // topology, policy) regardless of Options.Parallelism.
 func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct float64, opts Options) ([]CongestionRow, error) {
-	opts = opts.withEngine()
-	if len(refs) == 0 {
-		refs = CongestionWorkloads
-	}
+	opts = opts.WithEngine()
 	if len(families) == 0 {
 		families = []string{"torus", "fattree", "dragonfly"}
 	}
 	if len(policies) == 0 {
 		policies = congest.Policies()
 	}
-	var capped []WorkloadRef
-	for _, ref := range refs {
-		if opts.withinCap(ref.Ranks) {
-			capped = append(capped, ref)
-		}
-	}
-	perRef, err := runGrid(opts.runner(), len(capped), func(i int) ([]CongestionRow, error) {
-		ref := capped[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		app, err := workloads.Lookup(ref.App)
-		if err != nil {
-			return nil, err
-		}
-		o := opts
-		o.Span = cell
-		tr, err := generateTrace(app, ref.Ranks, o)
-		if err != nil {
-			return nil, err
-		}
+	return replayCells(refs, CongestionWorkloads, opts, func(ref WorkloadRef, tr *trace.Trace, cell *obs.Span) ([]CongestionRow, error) {
 		cfgs := make([]topology.Config, 0, len(families))
 		for _, fam := range families {
 			cfg, err := ConfigFor(fam, ref.Ranks)
@@ -145,12 +123,4 @@ func CongestionTable(refs []WorkloadRef, families, policies []string, growthPct 
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []CongestionRow
-	for _, r := range perRef {
-		rows = append(rows, r...)
-	}
-	return rows, nil
 }

@@ -89,11 +89,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// withEngine installs a private worker budget when none was supplied,
+// WithEngine installs a private worker budget when none was supplied,
 // so the nested fan-out levels of one analysis (grid × topologies ×
-// per-rank loops) share a single token pool. Every public entry point
-// calls it; repeated application is a no-op.
-func (o Options) withEngine() Options {
+// per-rank loops) share a single token pool. Every public entry point,
+// core's and design's, calls it; repeated application is a no-op.
+func (o Options) WithEngine() Options {
 	if o.Budget == nil && o.workers() > 1 {
 		// The calling goroutine holds no token, so the extras' budget
 		// is one less than the worker cap.
@@ -102,8 +102,8 @@ func (o Options) withEngine() Options {
 	return o
 }
 
-// runner returns the scheduler one fan-out level should use.
-func (o Options) runner() parallel.Runner {
+// Runner returns the scheduler one fan-out level should use.
+func (o Options) Runner() parallel.Runner {
 	if o.workers() <= 1 || o.Budget == nil {
 		return parallel.Seq()
 	}
@@ -112,7 +112,7 @@ func (o Options) runner() parallel.Runner {
 
 // engine returns the metrics engine bound to the options' runner.
 func (o Options) engine() metrics.Engine {
-	return metrics.Engine{Run: o.runner()}
+	return metrics.Engine{Run: o.Runner()}
 }
 
 // withinCap reports whether a rank count passes the MaxRanks cap.
@@ -192,18 +192,18 @@ type Analysis struct {
 // Options.Cache, so an uploaded trace claiming a registry app's name
 // cannot poison later registry analyses.
 func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
-	opts = opts.withEngine()
-	acc, err := accumulate(t, opts)
+	opts = opts.WithEngine()
+	acc, err := Accumulate(t, opts)
 	if err != nil {
 		return nil, err
 	}
 	return AnalyzeAccumulated(acc, opts)
 }
 
-// accumulate expands and packetizes a trace into the communication
+// Accumulate expands and packetizes a trace into the communication
 // matrices under a stage span. The span ends on every path (a failing
 // expansion must not leave an unterminated span in the debug ring).
-func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
+func Accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	sp := opts.Span.Start("accumulate")
 	defer sp.End()
 	// The workload label rides along as span metadata so exported traces
@@ -211,7 +211,7 @@ func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 	sp.SetLabel(fmt.Sprintf("%s/%d", t.Meta.App, t.Meta.Ranks))
 	sp.Add("events", int64(len(t.Events)))
 	acc, err := comm.AccumulateParallel(t,
-		comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.runner())
+		comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, opts.Runner())
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +221,7 @@ func accumulate(t *trace.Trace, opts Options) (*comm.Accumulated, error) {
 
 // AnalyzeAccumulated runs the pipeline on pre-accumulated matrices.
 func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	q := opts.coverage()
 	a := &Analysis{
 		App:      acc.Meta.App,
@@ -266,7 +266,7 @@ func AnalyzeAccumulated(acc *comm.Accumulated, opts Options) (*Analysis, error) 
 			return nil, err
 		}
 		cfgs := []topology.Config{torCfg, ftCfg, dfCfg}
-		results, err := runGrid(opts.runner(), len(cfgs), func(i int) (*TopoResult, error) {
+		results, err := runGrid(opts.Runner(), len(cfgs), func(i int) (*TopoResult, error) {
 			res, err := runTopology(acc, cfgs[i], MappingConsecutive, opts, opts.Span)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s on %s%s: %w", a.App, cfgs[i].Kind, cfgs[i], err)
@@ -417,7 +417,7 @@ func runTopology(acc *comm.Accumulated, cfg topology.Config, mappingName string,
 // consecutive). It backs the service's /v1/analyze endpoint. The returned
 // Analysis carries only the selected topology block(s); Acc is released.
 func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Options) (*Analysis, error) {
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	o := opts
 	o.SkipTopologies = true
 	a, err := AnalyzeApp(name, ranks, o)
@@ -428,7 +428,7 @@ func AnalyzeAppOn(name string, ranks int, topoKind, mappingName string, opts Opt
 	if topoKind != "" && topoKind != "all" {
 		kinds = []string{topoKind}
 	}
-	results, err := runGrid(opts.runner(), len(kinds), func(i int) (*TopoResult, error) {
+	results, err := runGrid(opts.Runner(), len(kinds), func(i int) (*TopoResult, error) {
 		cfg, err := ConfigFor(kinds[i], ranks)
 		if err != nil {
 			return nil, err
@@ -471,13 +471,13 @@ func AnalyzeApp(name string, ranks int, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withEngine()
+	opts = opts.WithEngine()
 	acc, err := opts.Cache.Accumulated(opts.accKey(app.Name, ranks), func() (*comm.Accumulated, error) {
 		t, err := generateTrace(app, ranks, opts)
 		if err != nil {
 			return nil, err
 		}
-		return accumulate(t, opts)
+		return Accumulate(t, opts)
 	})
 	if err != nil {
 		return nil, err

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"netloc/internal/mapping"
+	"netloc/internal/obs"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
+	"netloc/internal/trace"
 	"netloc/internal/workloads"
 )
 
@@ -38,31 +40,8 @@ var SimWorkloads = []WorkloadRef{
 // one generates its trace once and replays it on the three topologies
 // in order); rows stay in table order regardless of Parallelism.
 func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
-	opts = opts.withEngine()
-	if len(refs) == 0 {
-		refs = SimWorkloads
-	}
-	var capped []WorkloadRef
-	for _, ref := range refs {
-		if opts.withinCap(ref.Ranks) {
-			capped = append(capped, ref)
-		}
-	}
-	perRef, err := runGrid(opts.runner(), len(capped), func(i int) ([]SimRow, error) {
-		ref := capped[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		app, err := workloads.Lookup(ref.App)
-		if err != nil {
-			return nil, err
-		}
-		o := opts
-		o.Span = cell
-		tr, err := generateTrace(app, ref.Ranks, o)
-		if err != nil {
-			return nil, err
-		}
+	opts = opts.WithEngine()
+	return replayCells(refs, SimWorkloads, opts, func(ref WorkloadRef, tr *trace.Trace, cell *obs.Span) ([]SimRow, error) {
 		torCfg, ftCfg, dfCfg, err := topology.Configs(ref.Ranks)
 		if err != nil {
 			return nil, err
@@ -103,10 +82,46 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 		}
 		return rows, nil
 	})
+}
+
+// replayCells is the trace-replay cell loop SimTable and CongestionTable
+// share: each workload configuration within the MaxRanks cap (refs, or
+// defaults when refs is empty) fans out over the options' runner under
+// a "cell" span, its trace generated (or served from the artifact
+// cache) under that span, and body replays it into the cell's rows.
+// Rows are flattened in table order regardless of Parallelism. Callers
+// install the engine (Options.WithEngine) first.
+func replayCells[R any](refs, defaults []WorkloadRef, opts Options, body func(ref WorkloadRef, tr *trace.Trace, cell *obs.Span) ([]R, error)) ([]R, error) {
+	if len(refs) == 0 {
+		refs = defaults
+	}
+	var capped []WorkloadRef
+	for _, ref := range refs {
+		if opts.withinCap(ref.Ranks) {
+			capped = append(capped, ref)
+		}
+	}
+	perRef, err := runGrid(opts.Runner(), len(capped), func(i int) ([]R, error) {
+		ref := capped[i]
+		cell := opts.Span.Start("cell")
+		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
+		defer cell.End()
+		app, err := workloads.Lookup(ref.App)
+		if err != nil {
+			return nil, err
+		}
+		o := opts
+		o.Span = cell
+		tr, err := generateTrace(app, ref.Ranks, o)
+		if err != nil {
+			return nil, err
+		}
+		return body(ref, tr, cell)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []SimRow
+	var rows []R
 	for _, r := range perRef {
 		rows = append(rows, r...)
 	}

@@ -25,7 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -33,7 +33,6 @@ import (
 	"netloc/internal/comm"
 	"netloc/internal/core"
 	"netloc/internal/netmodel"
-	"netloc/internal/parallel"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
@@ -194,7 +193,7 @@ func (r Request) Validate() error {
 		return fmt.Errorf("design: empty candidate set: no families requested (known: %v)", Families())
 	}
 	for _, f := range r.Families {
-		if !knownFamily(f) {
+		if !slices.Contains(Families(), f) {
 			return fmt.Errorf("design: unknown family %q (known: %v)", f, Families())
 		}
 	}
@@ -202,7 +201,7 @@ func (r Request) Validate() error {
 		return fmt.Errorf("design: empty candidate set: no mappings requested (known: %v)", core.MappingNames())
 	}
 	for _, m := range r.Mappings {
-		if !knownMapping(m) {
+		if !slices.Contains(core.MappingNames(), m) {
 			return fmt.Errorf("design: unknown mapping %q (known: %v)", m, core.MappingNames())
 		}
 	}
@@ -210,24 +209,6 @@ func (r Request) Validate() error {
 		return fmt.Errorf("design: negative score weights %+v", r.Weights)
 	}
 	return nil
-}
-
-func knownFamily(name string) bool {
-	for _, f := range Families() {
-		if f == name {
-			return true
-		}
-	}
-	return false
-}
-
-func knownMapping(name string) bool {
-	for _, m := range core.MappingNames() {
-		if m == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Row is one ranked candidate of the design sheet: a topology
@@ -605,50 +586,19 @@ func hyperxConfigs(ranks int, c Constraints) []topology.Config {
 	return out
 }
 
-// Engine plumbing mirroring core.Options' unexported helpers: one shared
-// token budget across the config fan-out, sequential when Parallelism=1.
-
-func optWorkers(o core.Options) int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func withEngine(o core.Options) core.Options {
-	if o.Budget == nil && optWorkers(o) > 1 {
-		o.Budget = parallel.NewBudget(optWorkers(o) - 1)
-	}
-	return o
-}
-
-func optRunner(o core.Options) parallel.Runner {
-	if optWorkers(o) <= 1 || o.Budget == nil {
-		return parallel.Seq()
-	}
-	return parallel.Shared(o.Budget, optWorkers(o))
-}
-
 // accumulateCached memoizes the accumulated matrices of generated
 // traces in the shared artifact cache, so repeated sweeps over the same
 // workload (and core experiments over the same exact scale) reuse them.
 // Attached traces (source "") are never cached: a request payload must
 // not populate artifacts other callers would share.
 func accumulateCached(t *trace.Trace, source string, opts core.Options) (*comm.Accumulated, error) {
-	gen := func() (*comm.Accumulated, error) {
-		sp := opts.Span.Start("accumulate")
-		defer sp.End()
-		sp.Add("events", int64(len(t.Events)))
-		return comm.AccumulateParallel(t,
-			comm.AccumulateOptions{PacketSize: opts.PacketSize, Strategy: opts.Strategy}, optRunner(opts))
-	}
 	if source == "" {
-		return gen()
+		return core.Accumulate(t, opts)
 	}
 	return opts.Cache.Accumulated(workcache.AccKey{
 		Source: source, App: t.Meta.App, Ranks: t.Meta.Ranks,
 		PacketSize: opts.PacketSize, Strategy: opts.Strategy,
-	}, gen)
+	}, func() (*comm.Accumulated, error) { return core.Accumulate(t, opts) })
 }
 
 // Search runs the design search to completion. See SearchContext.
@@ -672,7 +622,7 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	opts = withEngine(opts)
+	opts = opts.WithEngine()
 
 	t, source, err := resolveTrace(req, opts)
 	if err != nil {
@@ -695,7 +645,7 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 	total := len(cfgs)
 	outcomes := make([]configOutcome, total)
 	var done atomic.Int64
-	err = optRunner(opts).ForEachErr(total, func(i int) error {
+	err = opts.Runner().ForEachErr(total, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

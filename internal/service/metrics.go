@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netloc/internal/design"
+	"netloc/internal/memo"
 	"netloc/internal/obs"
 	"netloc/internal/parallel"
 	"netloc/internal/workcache"
@@ -110,7 +111,7 @@ func newMetricsRegistry(endpoints []string) *metricsRegistry {
 // worker budget, the result cache, and the span ring — and installs the
 // budget's queue-wait observer. Called once from New, before the server
 // starts serving.
-func (m *metricsRegistry) bindEngine(b *parallel.Budget, c *lruCache, tr *obs.Tracer) {
+func (m *metricsRegistry) bindEngine(b *parallel.Budget, c *memo.Group[string, []byte], tr *obs.Tracer) {
 	m.reg.GaugeFunc("netloc_engine_tokens_capacity", "Worker-token pool capacity.",
 		func() float64 { return float64(b.Cap()) })
 	m.reg.GaugeFunc("netloc_engine_tokens_in_use", "Worker tokens currently held.",
@@ -120,9 +121,9 @@ func (m *metricsRegistry) bindEngine(b *parallel.Budget, c *lruCache, tr *obs.Tr
 	m.reg.CounterFunc("netloc_engine_degraded_total", "Fan-out loops that stayed on the calling goroutine because the pool was exhausted.",
 		func() float64 { return float64(b.Stats().Degraded) })
 	m.reg.GaugeFunc("netloc_cache_entries", "Result-cache entries.",
-		func() float64 { return float64(c.Len()) })
+		func() float64 { return float64(c.Stats().Entries) })
 	m.reg.CounterFunc("netloc_cache_evictions_total", "Result-cache evictions.",
-		func() float64 { return float64(c.Evictions()) })
+		func() float64 { return float64(c.Stats().Evictions) })
 	m.reg.CounterFunc("netloc_runs_recorded_total", "Analysis runs recorded in the span ring.",
 		func() float64 { return float64(tr.Recorded()) })
 	b.SetWaitObserver(func(d time.Duration) {

@@ -60,6 +60,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -68,6 +69,7 @@ import (
 	"netloc/internal/core"
 	"netloc/internal/design"
 	"netloc/internal/harness"
+	"netloc/internal/memo"
 	"netloc/internal/metrics"
 	"netloc/internal/mpi"
 	"netloc/internal/obs"
@@ -137,8 +139,7 @@ type Options struct {
 type Server struct {
 	opts      Options
 	mux       *http.ServeMux
-	cache     *lruCache
-	group     flightGroup
+	cache     *memo.Group[string, []byte]
 	budget    *parallel.Budget
 	metrics   *metricsRegistry
 	tracer    *obs.Tracer
@@ -167,7 +168,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		cache:   newLRUCache(opts.CacheEntries),
+		cache:   memo.New[string, []byte](max(opts.CacheEntries, 1)),
 		budget:  parallel.NewBudget(opts.Workers),
 		metrics: newMetricsRegistry(endpointNames),
 		tracer:  obs.NewTracer(obs.DefaultTracerRuns),
@@ -323,15 +324,15 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
-// cached serves one canonicalized request: from the LRU on a hit,
-// otherwise through the singleflight group and the worker pool, caching
+// cached serves one canonicalized request: from the result cache on a
+// hit, otherwise through its singleflight and the worker pool, caching
 // the marshaled bytes for the next identical request. Each executed
 // computation runs under a root span (compute receives it to hand down
 // to the pipeline); the finished run lands in the span ring, its work
 // counts feed the pipeline counters, and exactly one canonical run
 // event is logged per caller — cache="miss" for the computing leader
 // (through the completeRun chokepoint, where the slow-run detector
-// also looks), cache="hit" for LRU hits, cache="dedup" for followers
+// also looks), cache="hit" for cache hits, cache="dedup" for followers
 // that joined an identical in-flight computation.
 func (s *Server) cached(r *http.Request, dims runDims, key string, compute func(sp *obs.Span) (any, error)) ([]byte, error) {
 	info := requestInfo(r)
@@ -343,13 +344,8 @@ func (s *Server) cached(r *http.Request, dims runDims, key string, compute func(
 			Cache: cache, DurationMS: msSince(start),
 		}
 	}
-	if b, ok := s.cache.Get(key); ok {
-		s.metrics.cacheHits.Inc()
-		s.metrics.logRun(event("hit"))
-		return b, nil
-	}
-	s.metrics.cacheMisses.Inc()
-	b, err, shared := s.group.Do(key, func() ([]byte, error) {
+	b, disp, err := s.cache.Do(key, func() ([]byte, error) {
+		s.metrics.cacheMisses.Inc()
 		admit := time.Now()
 		s.budget.Acquire() // request-level admission: one token per computation
 		queueWait := time.Since(admit)
@@ -368,14 +364,14 @@ func (s *Server) cached(r *http.Request, dims runDims, key string, compute func(
 		if err != nil {
 			return nil, err
 		}
-		b, err := report.JSONBytes(v)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.Add(key, b)
-		return b, nil
+		return report.JSONBytes(v)
 	})
-	if shared {
+	switch disp {
+	case memo.Hit:
+		s.metrics.cacheHits.Inc()
+		s.metrics.logRun(event("hit"))
+	case memo.Dedup:
+		s.metrics.cacheMisses.Inc()
 		s.metrics.deduped.Inc()
 		s.metrics.logRun(event("dedup"))
 	}
@@ -394,7 +390,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, s.metrics.snapshot(s.cache.Len(), s.cache.Evictions(), s.budget.Stats()))
+	cs := s.cache.Stats()
+	writeJSON(w, s.metrics.snapshot(cs.Entries, cs.Evictions, s.budget.Stats()))
 }
 
 // wantsPrometheus selects the text exposition format: explicitly via
@@ -660,7 +657,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if mapping == "" {
 		mapping = core.MappingConsecutive
 	}
-	if !knownMapping(mapping) {
+	if !slices.Contains(core.MappingNames(), mapping) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("service: unknown mapping %q (known: %v)", mapping, core.MappingNames()))
 		return
@@ -689,15 +686,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONBytes(w, b)
-}
-
-func knownMapping(name string) bool {
-	for _, m := range core.MappingNames() {
-		if m == name {
-			return true
-		}
-	}
-	return false
 }
 
 // TopoInfo describes one built topology configuration.

@@ -22,6 +22,7 @@ import (
 	"netloc/internal/comm"
 	"netloc/internal/mapping"
 	"netloc/internal/mpi"
+	nstats "netloc/internal/stats"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
 )
@@ -270,7 +271,7 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	}
 	stats.MeanLatency = sum / float64(len(latencies))
 	stats.MedianLatency = latencies[len(latencies)/2]
-	stats.P99Latency = latencies[int(math.Ceil(0.99*float64(len(latencies))))-1]
+	stats.P99Latency = nstats.NearestRankSorted(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
 	stats.MeanIdealLatency = idealSum / float64(len(latencies))
 	stats.MeanQueueDelay = stats.MeanLatency - stats.MeanIdealLatency
@@ -297,10 +298,10 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		}
 		stats.UsedLinks = used
 		if used > 0 {
-			stats.MeasuredUtilizationPct = clampPct(100 * busySum / (stats.Makespan * float64(used)))
-			stats.MinLinkBusyPct = clampPct(100 * busyMin / stats.Makespan)
+			stats.MeasuredUtilizationPct = nstats.ClampPct(100 * busySum / (stats.Makespan * float64(used)))
+			stats.MinLinkBusyPct = nstats.ClampPct(100 * busyMin / stats.Makespan)
 		}
-		stats.MaxLinkBusyPct = clampPct(100 * busyMax / stats.Makespan)
+		stats.MaxLinkBusyPct = nstats.ClampPct(100 * busyMax / stats.Makespan)
 	}
 	if len(slacks) > 0 {
 		stats.SlackSamples = len(slacks)
@@ -314,19 +315,6 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		stats.SlackCoverShare = float64(slackCovered) / float64(len(slacks))
 	}
 	return stats, nil
-}
-
-// clampPct bounds a percentage to [0, 100]; per-link busy time never
-// truly exceeds the makespan, but float accumulation can overshoot by
-// ulps.
-func clampPct(v float64) float64 {
-	if v > 100 {
-		return 100
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // nextReleaseAfter returns the smallest release time strictly after t in

@@ -108,6 +108,30 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
 
+// NearestRankSorted returns the q-quantile of an ascending-sorted,
+// non-empty slice by the nearest-rank (ceil-rank) rule: the element at
+// 1-based rank ceil(q·n), with the index clamped at 0 so q = 0 yields the
+// minimum. No interpolation, so the result is always a sample.
+func NearestRankSorted(sorted []float64, q float64) float64 {
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return sorted[i]
+}
+
+// ClampPct bounds a percentage to [0, 100]. Busy-time shares never truly
+// exceed the makespan, but float accumulation can overshoot by ulps.
+func ClampPct(v float64) float64 {
+	if v > 100 {
+		return 100
+	}
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
 // WeightedQuantileLE returns the smallest value v among xs such that the
 // total weight of samples with value <= v reaches at least q of the total
 // weight. This "coverage" definition is the one used by the paper's 90%

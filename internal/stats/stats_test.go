@@ -82,6 +82,44 @@ func TestQuantileBasics(t *testing.T) {
 	}
 }
 
+func TestNearestRankSorted(t *testing.T) {
+	hundred := make([]float64, 100)
+	for i := range hundred {
+		hundred[i] = float64(i + 1)
+	}
+	cases := []struct {
+		name   string
+		sorted []float64
+		q      float64
+		want   float64
+	}{
+		{"n=1 q=0", []float64{42}, 0, 42},
+		{"n=1 q=0.99", []float64{42}, 0.99, 42},
+		{"n=1 q=1", []float64{42}, 1, 42},
+		{"n=5 q=0 clamps to min", []float64{1, 2, 3, 4, 5}, 0, 1},
+		{"n=5 q=0.5 ceil-rank", []float64{1, 2, 3, 4, 5}, 0.5, 3},
+		{"n=5 q=0.21 rounds rank up", []float64{1, 2, 3, 4, 5}, 0.21, 2},
+		{"n=5 q=1", []float64{1, 2, 3, 4, 5}, 1, 5},
+		{"n=100 q=0.99", hundred, 0.99, 99},
+		{"n=100 q=0.995", hundred, 0.995, 100},
+	}
+	for _, c := range cases {
+		if got := NearestRankSorted(c.sorted, c.q); got != c.want {
+			t.Errorf("%s: NearestRankSorted = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+func TestClampPct(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{
+		{-1e-12, 0}, {0, 0}, {42.5, 42.5}, {100, 100}, {100 + 1e-12, 100},
+	} {
+		if got := ClampPct(c.in); got != c.want {
+			t.Errorf("ClampPct(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
 func TestQuantileInterpolates(t *testing.T) {
 	got, err := Quantile([]float64{0, 10}, 0.3)
 	if err != nil {

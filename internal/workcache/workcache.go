@@ -18,21 +18,18 @@
 // scheduling-dependent Accumulated.Shards field is the one exception and
 // is deliberately excluded from every report.
 //
-// Concurrency: lookups are mutex-guarded, misses are deduplicated with a
-// singleflight group (a cold-start storm on one key runs one generation;
-// the waiters share the result), and the store is a bounded LRU. A nil
-// *Cache is valid and disables caching — every accessor just runs its
-// generator.
+// Concurrency: the store is a memo.Group — a bounded LRU whose misses
+// are deduplicated (a cold-start storm on one key runs one generation;
+// the waiters share the result). A nil *Cache is valid and disables
+// caching — every accessor just runs its generator.
 package workcache
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"netloc/internal/comm"
+	"netloc/internal/memo"
 	"netloc/internal/mpi"
 	"netloc/internal/topology"
 	"netloc/internal/trace"
@@ -88,6 +85,8 @@ func (k AccKey) id() string {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
+// Hits include singleflight waiters that shared another caller's
+// generation; Misses count generations executed.
 type Stats struct {
 	Hits      int64
 	Misses    int64
@@ -98,21 +97,7 @@ type Stats struct {
 // Cache is the bounded artifact store. The zero value is not usable; use
 // New. A nil *Cache disables caching.
 type Cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-
-	flight flightGroup
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-}
-
-type cacheEntry struct {
-	key string
-	val any
+	g *memo.Group[string, any]
 }
 
 // New creates a cache bounded to max artifacts (DefaultMaxEntries when
@@ -121,11 +106,7 @@ func New(max int) *Cache {
 	if max <= 0 {
 		max = DefaultMaxEntries
 	}
-	return &Cache{
-		max:   max,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, max),
-	}
+	return &Cache{g: memo.New[string, any](max)}
 }
 
 // Trace returns the cached trace for k, running gen exactly once across
@@ -177,17 +158,12 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	entries := 0
-	if c.ll != nil {
-		entries = c.ll.Len()
-	}
-	c.mu.Unlock()
+	s := c.g.Stats()
 	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
+		Hits:      s.Hits + s.Dedups,
+		Misses:    s.Misses,
+		Evictions: s.Evictions,
+		Entries:   s.Entries,
 	}
 }
 
@@ -195,103 +171,6 @@ func (c *Cache) do(id string, gen func() (any, error)) (any, error) {
 	if c == nil {
 		return gen()
 	}
-	if v, ok := c.get(id); ok {
-		c.hits.Add(1)
-		return v, nil
-	}
-	// The flight closure re-checks the store so that callers which queued
-	// behind a winner arriving after its insert still hit; only the
-	// winner runs gen. Waiters sharing the winner's result count as hits
-	// of the dedup layer, not misses.
-	v, err, shared := c.flight.do(id, func() (any, error) {
-		if v, ok := c.get(id); ok {
-			return v, nil
-		}
-		c.misses.Add(1)
-		v, err := gen()
-		if err != nil {
-			return nil, err
-		}
-		c.add(id, v)
-		return v, nil
-	})
-	if shared && err == nil {
-		c.hits.Add(1)
-	}
+	v, _, err := c.g.Do(id, gen)
 	return v, err
-}
-
-func (c *Cache) get(id string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[id]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
-}
-
-func (c *Cache) add(id string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[id]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = v
-		return
-	}
-	c.items[id] = c.ll.PushFront(&cacheEntry{key: id, val: v})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// flightGroup is the in-tree singleflight (see internal/service for the
-// byte-specialized original): one generation per key among concurrent
-// callers, panic converted to a shared error, the in-flight slot always
-// cleared so a poisoned key never wedges later callers.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
-
-func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		c.wg.Wait()
-		return c.val, c.err, true
-	}
-	c := new(flightCall)
-	c.wg.Add(1)
-	g.m[key] = c
-	g.mu.Unlock()
-
-	defer func() {
-		g.mu.Lock()
-		delete(g.m, key)
-		g.mu.Unlock()
-	}()
-	func() {
-		defer c.wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				c.val, c.err = nil, fmt.Errorf("workcache: panic in generator: %v", r)
-			}
-		}()
-		c.val, c.err = fn()
-	}()
-	return c.val, c.err, false
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Full CI gate: static checks, build, the race-enabled test suite (which
-# exercises the analysis service's concurrent cache/singleflight paths
-# via internal/service's parallel-request tests), and the example smoke
-# tests.
+# exercises the shared memo.Group cache/singleflight paths via
+# internal/memo and internal/service's parallel-request tests), the
+# benchmark module's unit tests, and the example smoke tests.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -37,7 +37,7 @@ echo "=== go test -race (parallel engine, forced workers) ==="
 # Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun add the telemetry
 # sampler goroutine, trace exporter, and run-event/slow-run plumbing.
 go test -race -timeout 30m -run 'Parallel|Determin|Budget|ForEach|Singleflight|Concurrent|Span|Registry|Job|Jellyfish|SlimFly|HyperX|Runtime|ChromeTrace|SlowRun|RunEvent|DebugRun' \
-    ./internal/parallel ./internal/comm ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/congest ./internal/topology .
+    ./internal/parallel ./internal/comm ./internal/metrics ./internal/core ./internal/service ./internal/obs ./internal/design ./internal/workcache ./internal/memo ./internal/congest ./internal/topology .
 
 # Golden Chrome-trace shape gate: the exported trace must stay a valid
 # JSON array with pid/tid on every event and monotonic timestamps, or
@@ -50,6 +50,11 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
 go test -run 'Fuzz' ./internal/topology ./internal/service
+
+# perfbench is a nested module (netloc/perfbench), so the root
+# ./... patterns above never reach its unit tests.
+echo "=== go test (perfbench module) ==="
+(cd perfbench && GOPROXY=off GOFLAGS= go test ./...)
 
 echo "=== examples ==="
 sh scripts/run_examples.sh
