@@ -569,9 +569,11 @@ func BenchmarkDesignSearchSmall(b *testing.B) {
 // BenchmarkCongestionLULESH64 pins the cost of the temporal congestion
 // study on one representative cell: LULESH at 64 ranks replayed on its
 // three Table 2 topologies under all four routing policies, tolerance
-// sweep disabled (the sweep's cost is just repeated simulation). This is
-// the event-driven simulator end to end — trace generation, expansion,
-// per-policy routing, the global event loop, and the hotspot pass.
+// sweep disabled (the sweep reuses one prepared replay for makespan-only
+// probes; internal/congest's BenchmarkLatencyTolerance measures it).
+// This is the event-driven simulator end to end — trace generation,
+// expansion, per-policy routing, the global event loop, and the hotspot
+// pass.
 func BenchmarkCongestionLULESH64(b *testing.B) {
 	refs := []core.WorkloadRef{{App: "LULESH", Ranks: 64}}
 	// Shared artifact cache, as the service and harness run it.

@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -124,6 +125,12 @@ func parseWorkloads(s string) ([]core.WorkloadRef, error) {
 }
 
 func run(w io.Writer, refs []core.WorkloadRef, families, policies []string, growth float64, opts core.Options, csv, asJSON bool) error {
+	// NaN would silently disable the sweep and +Inf would run it to a
+	// bogus saturated bound (which JSON cannot even encode), so reject
+	// both before any work runs.
+	if math.IsNaN(growth) || math.IsInf(growth, 0) {
+		return fmt.Errorf("bad -growth %g (need a finite percentage)", growth)
+	}
 	rows, err := core.CongestionTable(refs, families, policies, growth, opts)
 	if err != nil {
 		return err

@@ -23,9 +23,10 @@
 package congest
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -191,38 +192,93 @@ type Stats struct {
 	HotspotPersistence float64
 }
 
-// inflight is one message moving through the network.
-type inflight struct {
-	seq      int
-	src, dst int // node vertices
-	route    []int
+// message is one inter-node wire message. Messages are kept in release
+// order, and a message's index is its sequence number: the
+// deterministic tie-break between events at the same instant.
+type message struct {
+	src, dst int32 // node vertices
 	serial   float64
 	release  float64
-	hop      int
-	delayed  bool
-	detour   bool
 }
 
-// event is one head-of-message link request in the global clock.
+// routeSpan locates one message's link path in a route arena.
+type routeSpan struct {
+	off, n int32
+}
+
+// event is one head-of-message link request in the global clock. A
+// message has at most one pending event, so (time, seq) keys are
+// unique and every correct queue pops the same sequence.
 type event struct {
 	time float64
-	seq  int // message sequence: the deterministic tie-break
-	msg  *inflight
+	seq  int32
 }
 
-type eventHeap []event
+func (a event) before(b event) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// eventQueue is a binary min-heap of in-flight heads keyed by
+// (time, seq).
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = e
+	*q = h
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) pushEvent(e event) { heap.Push(h, e) }
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(h[c]) {
+				c++
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
+
+// nextEvent removes and returns the earliest pending event: either the
+// injection of msgs[*cursor] at its release plus extra, or the queue's
+// head. Messages are in (release, seq) order, so the injections form a
+// sorted stream that needs no heap. injected reports the first kind.
+func nextEvent(q *eventQueue, msgs []message, extra float64, cursor *int) (ev event, injected bool) {
+	if i := *cursor; i < len(msgs) {
+		inj := event{time: msgs[i].release + extra, seq: int32(i)}
+		if len(*q) == 0 || inj.before((*q)[0]) {
+			*cursor = i + 1
+			return inj, true
+		}
+	}
+	return q.pop(), false
+}
 
 // reservation records one link occupancy interval for the hotspot pass.
 type reservation struct {
@@ -259,6 +315,45 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	if err != nil {
 		return nil, err
 	}
+	r, err := prepare(t, topo, mp, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.run(opts.ExtraHopLatency, true)
+}
+
+// replay is a simulation prepared once and run at any added per-hop
+// latency: the expanded, release-ordered messages and, for policies
+// whose routes never read link state (minimal, ECMP, Valiant), every
+// message's route. LatencyTolerance runs one replay for its base run
+// and every probe. A replay reuses its buffers across runs, so it must
+// not run concurrently.
+type replay struct {
+	opts    Options
+	topo    topology.Topology
+	msgs    []message
+	rt      router
+	ugal    *ugalRouter // non-nil when routes depend on link state
+	baseLat float64     // head latency per hop before any extra
+
+	// The route arena and its counts: filled once by prepare for
+	// static policies, by every run under UGAL.
+	routes  []int32
+	spans   []routeSpan
+	hops    uint64
+	detours int
+
+	// Per-run scratch.
+	st    simState
+	hop   []int32 // next hop index per message
+	queue eventQueue
+	path  []int
+}
+
+// prepare validates the inputs, expands the trace into inter-node
+// messages in release order and routes them when the policy allows.
+// opts must be normalized.
+func prepare(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options) (*replay, error) {
 	if mp.Ranks() < t.Meta.Ranks {
 		return nil, fmt.Errorf("congest: mapping covers %d ranks, trace has %d", mp.Ranks(), t.Meta.Ranks)
 	}
@@ -271,12 +366,10 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	}
 
 	bw := opts.BandwidthBytesPerSec
-	hopLat := float64(opts.PacketBytes)/bw + opts.ExtraHopLatency
-
 	// Expand the trace into inter-node messages, exactly like simnet:
 	// collectives unroll through mpi.ExpandEvent, zero-byte and
 	// intra-node messages never enter the network.
-	var msgs []*inflight
+	var msgs []message
 	var buf []mpi.Message
 	for i, e := range t.Events {
 		buf, err = mpi.ExpandEvent(buf[:0], e, world, mpi.ExpandOptions{})
@@ -298,12 +391,12 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 			if ns == nd {
 				continue
 			}
-			msgs = append(msgs, &inflight{
-				seq: len(msgs), src: ns, dst: nd,
+			msgs = append(msgs, message{
+				src: int32(ns), dst: int32(nd),
 				serial:  float64(m.Bytes) / bw,
 				release: float64(e.Start) / 1e9,
 			})
-			if len(msgs) > opts.MaxMessages {
+			if len(msgs) > opts.MaxMessages || len(msgs) > math.MaxInt32 {
 				return nil, fmt.Errorf("congest: message count exceeds limit %d", opts.MaxMessages)
 			}
 		}
@@ -313,123 +406,190 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	}
 	// Sequence numbers follow release order so event ties resolve the
 	// way a FIFO injection queue would.
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].release < msgs[j].release })
-	for i, m := range msgs {
-		m.seq = i
-	}
+	slices.SortStableFunc(msgs, func(a, b message) int { return cmp.Compare(a.release, b.release) })
 
-	st := &simState{
-		busyUntil: make([]float64, len(topo.Links())),
-		busyTime:  make([]float64, len(topo.Links())),
-		queues:    make([]linkQueue, len(topo.Links())),
+	r := &replay{
+		opts:    opts,
+		topo:    topo,
+		msgs:    msgs,
+		baseLat: float64(opts.PacketBytes) / bw,
+		st:      simState{busyUntil: make([]float64, len(topo.Links()))},
+		hop:     make([]int32, len(msgs)),
 	}
-	rt, err := newRouter(opts.Policy, topo, opts.Seed, st, hopLat)
+	r.rt, err = newRouter(opts.Policy, topo, opts.Seed, &r.st, r.baseLat)
 	if err != nil {
 		return nil, err
 	}
-
-	events := make(eventHeap, 0, len(msgs))
-	for _, m := range msgs {
-		events = append(events, event{time: m.release + opts.ExtraHopLatency, seq: m.seq, msg: m})
+	r.spans = make([]routeSpan, len(msgs))
+	if u, ok := r.rt.(*ugalRouter); ok {
+		r.ugal = u
+		return r, nil
 	}
-	heap.Init(&events)
+	for i := range msgs {
+		if err := r.route(i, msgs[i].release); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
 
-	latencies := make([]float64, 0, len(msgs))
+// route asks the router for message seq's path at time now, appends it
+// to the route arena and records its span and counts.
+func (r *replay) route(seq int, now float64) error {
+	m := r.msgs[seq]
+	path, detour, err := r.rt.route(int(m.src), int(m.dst), seq, now, r.path)
+	if err != nil {
+		return err
+	}
+	r.path = path
+	if len(path) == 0 {
+		return fmt.Errorf("congest: empty route for %d->%d on %s", m.src, m.dst, r.topo.Name())
+	}
+	if len(r.routes)+len(path) > math.MaxInt32 {
+		return fmt.Errorf("congest: route arena exceeds %d links", math.MaxInt32)
+	}
+	r.spans[seq] = routeSpan{off: int32(len(r.routes)), n: int32(len(path))}
+	for _, li := range path {
+		r.routes = append(r.routes, int32(li))
+	}
+	r.hops += uint64(len(path))
+	if detour {
+		r.detours++
+	}
+	return nil
+}
+
+// run replays the prepared messages with extra seconds added to every
+// hop's head latency. With full false it tracks only what the makespan
+// needs and returns Stats with only Policy and Makespan set; the event
+// sequence, and so the makespan, is the same either way.
+func (r *replay) run(extra float64, full bool) (*Stats, error) {
+	hopLat := r.baseLat + extra
+	msgs := r.msgs
+	nLinks := len(r.st.busyUntil)
+	busyUntil := r.st.busyUntil
+	clear(busyUntil)
+	clear(r.hop)
+	if r.ugal != nil {
+		// UGAL decides at injection from this run's backlog, so every
+		// run routes afresh.
+		r.ugal.hopLat = hopLat
+		r.routes, r.hops, r.detours = r.routes[:0], 0, 0
+	}
+
+	var (
+		busyTime     []float64
+		queues       []linkQueue
+		reservations []reservation
+		latencies    []float64
+		delayed      []bool
+	)
+	if full {
+		busyTime = make([]float64, nLinks)
+		queues = make([]linkQueue, nLinks)
+		resCap := len(msgs)
+		if r.ugal == nil {
+			resCap = int(r.hops)
+		}
+		reservations = make([]reservation, 0, resCap)
+		latencies = make([]float64, 0, len(msgs))
+		delayed = make([]bool, len(msgs))
+	}
 	var idealSum float64
-	var delayed, detoured int
-	var hopsTraversed uint64
-	firstRelease := msgs[0].release
+	var delayedCount int
 	var lastArrival float64
 	maxQueueDepth := 0
 
-	for events.Len() > 0 {
-		ev := heap.Pop(&events).(event)
-		m := ev.msg
+	q := r.queue[:0]
+	cursor := 0
+	for cursor < len(msgs) || len(q) > 0 {
+		ev, injected := nextEvent(&q, msgs, extra, &cursor)
+		seq := int(ev.seq)
 		now := ev.time
-		if m.route == nil {
+		if injected && r.ugal != nil {
 			// Routing decision at injection time: UGAL reads the queue
 			// backlog of this exact instant.
-			m.route, m.detour, err = rt.route(m.src, m.dst, m.seq, now)
-			if err != nil {
+			if err := r.route(seq, now); err != nil {
 				return nil, err
 			}
-			if len(m.route) == 0 {
-				return nil, fmt.Errorf("congest: empty route for %d->%d on %s", m.src, m.dst, topo.Name())
-			}
-			hopsTraversed += uint64(len(m.route))
-			if m.detour {
-				detoured++
-			}
 		}
-		li := m.route[m.hop]
+		m := &msgs[seq]
+		sp := r.spans[seq]
+		h := r.hop[seq]
+		li := r.routes[sp.off+h]
 		start := now
-		if st.busyUntil[li] > start {
-			start = st.busyUntil[li]
-			m.delayed = true
+		if busyUntil[li] > start {
+			start = busyUntil[li]
+			if full {
+				delayed[seq] = true
+			}
 		}
-		q := &st.queues[li]
-		depth := q.depthAt(now)
-		if start > now {
-			q.push(start)
-			depth++
+		busyUntil[li] = start + m.serial
+		if full {
+			lq := &queues[li]
+			depth := lq.depthAt(now)
+			if start > now {
+				lq.push(start)
+				depth++
+			}
+			if depth > maxQueueDepth {
+				maxQueueDepth = depth
+			}
+			busyTime[li] += m.serial
+			reservations = append(reservations, reservation{link: li, start: start, dur: m.serial})
 		}
-		if depth > maxQueueDepth {
-			maxQueueDepth = depth
-		}
-		st.busyUntil[li] = start + m.serial
-		st.busyTime[li] += m.serial
-		st.reservations = append(st.reservations, reservation{link: int32(li), start: start, dur: m.serial})
 
-		if m.hop++; m.hop < len(m.route) {
-			events.pushEvent(event{time: start + hopLat, seq: m.seq, msg: m})
+		if h++; h < sp.n {
+			r.hop[seq] = h
+			q.push(event{time: start + hopLat, seq: ev.seq})
 			continue
 		}
 		arrival := start + m.serial
-		lat := arrival - m.release
-		latencies = append(latencies, lat)
-		idealSum += float64(len(m.route)-1)*hopLat + opts.ExtraHopLatency + m.serial
-		if m.delayed {
-			delayed++
+		if full {
+			latencies = append(latencies, arrival-m.release)
+			idealSum += float64(sp.n-1)*hopLat + extra + m.serial
+			if delayed[seq] {
+				delayedCount++
+			}
 		}
 		if arrival > lastArrival {
 			lastArrival = arrival
 		}
 	}
+	r.queue = q
 
-	stats := &Stats{
-		Policy:        opts.Policy,
-		Messages:      len(latencies),
-		HopsTraversed: hopsTraversed,
-		AvgHops:       float64(hopsTraversed) / float64(len(latencies)),
-		DelayedShare:  float64(delayed) / float64(len(latencies)),
-		DetourShare:   float64(detoured) / float64(len(latencies)),
-		MaxQueueDepth: maxQueueDepth,
-		Makespan:      lastArrival - firstRelease,
+	firstRelease := msgs[0].release
+	stats := &Stats{Policy: r.opts.Policy, Makespan: lastArrival - firstRelease}
+	if !full {
+		return stats, nil
 	}
+	n := float64(len(latencies))
+	stats.Messages = len(latencies)
+	stats.HopsTraversed = r.hops
+	stats.AvgHops = float64(r.hops) / n
+	stats.DelayedShare = float64(delayedCount) / n
+	stats.DetourShare = float64(r.detours) / n
+	stats.MaxQueueDepth = maxQueueDepth
 	sort.Float64s(latencies)
 	var sum float64
 	for _, l := range latencies {
 		sum += l
 	}
-	stats.MeanLatency = sum / float64(len(latencies))
+	stats.MeanLatency = sum / n
 	stats.P99Latency = nstats.NearestRankSorted(latencies, 0.99)
 	stats.MaxLatency = latencies[len(latencies)-1]
-	stats.MeanQueueDelay = stats.MeanLatency - idealSum/float64(len(latencies))
+	stats.MeanQueueDelay = stats.MeanLatency - idealSum/n
 	if stats.MeanQueueDelay < 0 {
 		stats.MeanQueueDelay = 0 // float accumulation noise when nothing queued
 	}
-	linkBusyStats(stats, st.busyTime)
-	hotspotStats(stats, st, opts.HotspotBuckets, firstRelease)
+	linkBusyStats(stats, busyTime)
+	hotspotStats(stats, reservations, nLinks, r.opts.HotspotBuckets, firstRelease)
 	return stats, nil
 }
 
-// simState is the mutable per-run network state; it doubles as the
-// linkLoad view the UGAL router consults at decision time.
+// simState is the per-run link state adaptive routing consults.
 type simState struct {
-	busyUntil    []float64
-	busyTime     []float64
-	queues       []linkQueue
-	reservations []reservation
+	busyUntil []float64
 }
 
 // backlog implements linkLoad: how long a head arriving now would wait.
@@ -471,14 +631,13 @@ func linkBusyStats(stats *Stats, busyTime []float64) {
 // (window, link), and persistence is the share of busy windows whose
 // busiest link is the overall hottest one. Ties break toward the lower
 // link index so the measure is deterministic.
-func hotspotStats(stats *Stats, st *simState, buckets int, t0 float64) {
+func hotspotStats(stats *Stats, reservations []reservation, nLinks, buckets int, t0 float64) {
 	if stats.Makespan <= 0 || stats.UsedLinks == 0 {
 		return
 	}
 	width := stats.Makespan / float64(buckets)
-	nLinks := len(st.busyTime)
 	busy := make([]float64, buckets*nLinks)
-	for _, r := range st.reservations {
+	for _, r := range reservations {
 		lo := r.start - t0
 		hi := lo + r.dur
 		b0 := int(lo / width)

@@ -10,7 +10,7 @@ import (
 )
 
 // genTrace generates a synthetic workload trace for simulator tests.
-func genTrace(t *testing.T, app string, ranks int) *trace.Trace {
+func genTrace(t testing.TB, app string, ranks int) *trace.Trace {
 	t.Helper()
 	a, err := workloads.Lookup(app)
 	if err != nil {
@@ -32,7 +32,7 @@ func torus(t *testing.T, x, y, z int) topology.Topology {
 	return topo
 }
 
-func consecutive(t *testing.T, ranks, nodes int) *mapping.Mapping {
+func consecutive(t testing.TB, ranks, nodes int) *mapping.Mapping {
 	t.Helper()
 	mp, err := mapping.Consecutive(ranks, nodes)
 	if err != nil {
@@ -54,7 +54,7 @@ func fattree(t *testing.T, ranks int) topology.Topology {
 	return topo
 }
 
-func dragonfly(t *testing.T, ranks int) topology.Topology {
+func dragonfly(t testing.TB, ranks int) topology.Topology {
 	t.Helper()
 	cfg, err := topology.DragonflyConfig(ranks)
 	if err != nil {

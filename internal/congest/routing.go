@@ -10,11 +10,12 @@ import (
 // deterministic: the same (src, dst, seq, now) with the same simulator
 // state always yields the same path.
 type router interface {
-	// route returns the link path for message seq from node src to node
-	// dst, deciding at simulation time now. detour reports a
-	// non-minimal (Valiant) path. The returned slice is owned by the
-	// caller for the message's lifetime, so implementations allocate.
-	route(src, dst, seq int, now float64) (path []int, detour bool, err error)
+	// route appends the link path for message seq from node src to
+	// node dst, decided at simulation time now, to buf[:0] and returns
+	// it. detour reports a non-minimal (Valiant) path. The result
+	// shares storage only with buf, never with the router's own
+	// buffers, so it stays intact until the caller reuses buf.
+	route(src, dst, seq int, now float64, buf []int) (path []int, detour bool, err error)
 }
 
 // linkLoad is the congestion view adaptive routing consults: the time a
@@ -52,8 +53,8 @@ type minimalRouter struct {
 	topo topology.Topology
 }
 
-func (r *minimalRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
-	path, err := r.topo.Route(src, dst, nil)
+func (r *minimalRouter) route(src, dst, seq int, now float64, buf []int) ([]int, bool, error) {
+	path, err := r.topo.Route(src, dst, buf)
 	return path, false, err
 }
 
@@ -113,7 +114,7 @@ func (r *ecmpRouter) distTo(dst int) ([]int, error) {
 	return d, nil
 }
 
-func (r *ecmpRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
+func (r *ecmpRouter) route(src, dst, seq int, now float64, buf []int) ([]int, bool, error) {
 	dist, err := r.distTo(dst)
 	if err != nil {
 		return nil, false, err
@@ -125,7 +126,7 @@ func (r *ecmpRouter) route(src, dst, seq int, now float64) ([]int, bool, error) 
 	// same path, load spreads across flows — classic ECMP, as opposed
 	// to UGAL's per-message adaptivity.
 	flow := mix64(uint64(src)<<32 ^ uint64(dst) ^ r.seed)
-	path := make([]int, 0, dist[src])
+	path := buf[:0]
 	cur := src
 	for cur != dst {
 		want := dist[cur] - 1
@@ -164,6 +165,8 @@ type valiantRouter struct {
 	minimal topology.Topology // shortest-path reference for detour detection
 	nodes   int
 	seed    uint64
+	// leg1, leg2 are the generic detour's scratch buffers.
+	leg1, leg2 []int
 }
 
 func newValiantRouter(topo topology.Topology, seed uint64) (*valiantRouter, error) {
@@ -192,26 +195,27 @@ func (r *valiantRouter) pivot(src, dst int) int {
 	return p
 }
 
-func (r *valiantRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
+func (r *valiantRouter) route(src, dst, seq int, now float64, buf []int) ([]int, bool, error) {
 	if r.via != nil {
-		path, err := r.via.Route(src, dst, nil)
+		path, err := r.via.Route(src, dst, buf)
 		// The dragonfly wrapper detours only inter-group traffic; a
 		// longer-than-minimal path is the observable detour signal.
 		return path, err == nil && len(path) > r.minimal.HopCount(src, dst), err
 	}
 	if r.nodes < 3 {
-		path, err := r.topo.Route(src, dst, nil)
+		path, err := r.topo.Route(src, dst, buf)
 		return path, false, err
 	}
 	p := r.pivot(src, dst)
-	leg1, err := r.topo.Route(src, p, nil)
+	leg1, err := r.topo.Route(src, p, r.leg1)
 	if err != nil {
 		return nil, false, err
 	}
-	leg2, err := r.topo.Route(p, dst, nil)
+	leg2, err := r.topo.Route(p, dst, r.leg2)
 	if err != nil {
 		return nil, false, err
 	}
+	r.leg1, r.leg2 = leg1, leg2
 	// On indirect topologies both legs touch the pivot over its
 	// terminal link; dropping the repeated pair turns around at the
 	// pivot's switch instead of re-injecting through the node.
@@ -219,7 +223,7 @@ func (r *valiantRouter) route(src, dst, seq int, now float64) ([]int, bool, erro
 		leg1 = leg1[:len(leg1)-1]
 		leg2 = leg2[1:]
 	}
-	return append(leg1, leg2...), true, nil
+	return append(append(buf[:0], leg1...), leg2...), true, nil
 }
 
 // ugalRouter is the UGAL-style adaptive choice: per message, estimate
@@ -231,6 +235,8 @@ type ugalRouter struct {
 	val    router
 	loads  linkLoad
 	hopLat float64
+	// alt holds the Valiant candidate between calls.
+	alt []int
 }
 
 func (r *ugalRouter) cost(path []int, now float64) float64 {
@@ -241,22 +247,25 @@ func (r *ugalRouter) cost(path []int, now float64) float64 {
 	return c
 }
 
-func (r *ugalRouter) route(src, dst, seq int, now float64) ([]int, bool, error) {
-	minPath, _, err := r.min.route(src, dst, seq, now)
+func (r *ugalRouter) route(src, dst, seq int, now float64, buf []int) ([]int, bool, error) {
+	minPath, _, err := r.min.route(src, dst, seq, now, buf)
 	if err != nil {
 		return nil, false, err
 	}
-	valPath, _, err := r.val.route(src, dst, seq, now)
+	valPath, _, err := r.val.route(src, dst, seq, now, r.alt)
 	if err != nil {
 		return nil, false, err
 	}
+	r.alt = valPath
 	// The Valiant alternative can share the minimal path's length yet use
 	// different links, so it stays a candidate whenever the paths differ;
 	// ties go to minimal (hardware UGAL's bias).
 	if samePath(minPath, valPath) || r.cost(minPath, now) <= r.cost(valPath, now) {
 		return minPath, false, nil
 	}
-	return valPath, true, nil
+	// Copy the detour over the minimal path in the caller's buffer:
+	// handing out r.alt would let the next call overwrite it.
+	return append(minPath[:0], valPath...), true, nil
 }
 
 func samePath(a, b []int) bool {

@@ -38,7 +38,7 @@ func TestRoutesAreValidWalks(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					path, _, err := rt.route(src, dst, src*n+dst, 0)
+					path, _, err := rt.route(src, dst, src*n+dst, 0, nil)
 					if err != nil {
 						t.Fatalf("%s/%s %d->%d: %v", kind, policy, src, dst, err)
 					}
@@ -58,12 +58,12 @@ func TestECMPFlowStickinessAndSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same flow, different messages: identical path.
-	first, _, err := rt.route(0, 5, 0, 0)
+	first, _, err := rt.route(0, 5, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seq := 1; seq < 8; seq++ {
-		p, _, err := rt.route(0, 5, seq, float64(seq))
+		p, _, err := rt.route(0, 5, seq, float64(seq), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +84,8 @@ func TestECMPFlowStickinessAndSpread(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			mp, _, err1 := min.route(src, dst, 0, 0)
-			ep, _, err2 := rt.route(src, dst, 0, 0)
+			mp, _, err1 := min.route(src, dst, 0, 0, nil)
+			ep, _, err2 := rt.route(src, dst, 0, 0, nil)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -120,8 +120,8 @@ func TestValiantGenericPivotDeterministic(t *testing.T) {
 			if p := a.pivot(src, dst); p == src || p == dst {
 				t.Fatalf("pivot(%d,%d) = endpoint %d", src, dst, p)
 			}
-			pa, da, err1 := a.route(src, dst, 0, 0)
-			pb, db, err2 := b.route(src, dst, 0, 0)
+			pa, da, err1 := a.route(src, dst, 0, 0, nil)
+			pb, db, err2 := b.route(src, dst, 0, 0, nil)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -144,12 +144,12 @@ func TestUGALAdaptsToBacklog(t *testing.T) {
 	// An inter-group pair, so the Valiant path actually detours.
 	src, dst := 0, topo.Nodes()-1
 	min := &minimalRouter{topo: topo}
-	minPath, _, err := min.route(src, dst, 0, 0)
+	minPath, _, err := min.route(src, dst, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Idle network: minimal wins.
-	idle, detour, err := rt.route(src, dst, 0, 0)
+	idle, detour, err := rt.route(src, dst, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,66 @@ func TestUGALAdaptsToBacklog(t *testing.T) {
 	for _, li := range minPath {
 		st.busyUntil[li] = 1.0 // one full second of backlog each
 	}
-	_, detour, err = rt.route(src, dst, 1, 0)
+	_, detour, err = rt.route(src, dst, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !detour {
 		t.Error("ugal stayed minimal with every minimal link backlogged")
+	}
+}
+
+// UGAL hands its choice back in the caller's buffer, never in its own
+// candidate buffer: a detour returned by one call survives the next
+// call, and one buffer passed again and again still routes correctly.
+func TestUGALRouteBufferOwnership(t *testing.T) {
+	topo := dragonfly(t, 64)
+	st := &simState{busyUntil: make([]float64, len(topo.Links()))}
+	rt, err := newRouter(PolicyUGAL, topo, defaultSeed, st, 1e-7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Backlog every minimal link of a pair so it takes its Valiant
+	// detour.
+	min := &minimalRouter{topo: topo}
+	backlog := func(src, dst int) {
+		path, _, err := min.route(src, dst, 0, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, li := range path {
+			st.busyUntil[li] = 1.0
+		}
+	}
+	src, dst := 0, topo.Nodes()-1
+	backlog(src, dst)
+	var buf []int
+	first, detour, err := rt.route(src, dst, 0, 0, buf)
+	if err != nil || !detour {
+		t.Fatalf("first call: detour=%v err=%v, want a detour", detour, err)
+	}
+	want := append([]int(nil), first...)
+	// A second detour on a different path, into the same buffer.
+	overwritable := false
+	for d := 1; d < topo.Nodes()-1 && !overwritable; d++ {
+		backlog(1, d)
+		second, detour, err := rt.route(1, d, d, 0, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwritable = detour && !reflect.DeepEqual(second, want)
+	}
+	if !overwritable {
+		t.Fatal("no second detour differs from the first; the test cannot see an overwrite")
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("a later call overwrote the first path: %v, want %v", first, want)
+	}
+	buf = make([]int, 0, 16)
+	for seq := 2; seq < 6; seq++ {
+		p, detour, err := rt.route(src, dst, seq, 0, buf)
+		if err != nil || !detour || !reflect.DeepEqual(p, want) {
+			t.Fatalf("call %d with a reused buffer: %v detour=%v err=%v, want %v", seq, p, detour, err, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"fmt"
+	"math"
 
 	"netloc/internal/mapping"
 	"netloc/internal/topology"
@@ -51,35 +52,51 @@ func LatencyTolerance(t *trace.Trace, topo topology.Topology, mp *mapping.Mappin
 	if growthPct == 0 {
 		growthPct = DefaultGrowthPct
 	}
-	if growthPct < 0 {
-		return nil, fmt.Errorf("congest: growth threshold %g%% (need > 0)", growthPct)
+	if !(growthPct > 0) || math.IsInf(growthPct, 1) {
+		return nil, fmt.Errorf("congest: growth threshold %g%% (need finite, > 0)", growthPct)
 	}
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
 	}
-	opts.ExtraHopLatency = 0
-	base, err := Simulate(t, topo, mp, opts)
+	// Every probe replays the same messages over the same routes; only
+	// the added latency changes, and only the makespan is read.
+	r, err := prepare(t, topo, mp, opts)
 	if err != nil {
 		return nil, err
 	}
-	tol := &Tolerance{GrowthPct: growthPct, BaseMakespan: base.Makespan, Probes: 1}
-	threshold := base.Makespan * (1 + growthPct/100)
+	return sweep(r.baseLat, growthPct, func(extra float64) (float64, error) {
+		s, err := r.run(extra, false)
+		if err != nil {
+			return 0, err
+		}
+		return s.Makespan, nil
+	})
+}
+
+// sweep is the tolerance search over run(extra), the makespan at an
+// added per-hop latency: a base run at zero, exponential bracketing
+// from headLat, then bounded bisection.
+func sweep(headLat, growthPct float64, run func(extra float64) (float64, error)) (*Tolerance, error) {
+	base, err := run(0)
+	if err != nil {
+		return nil, err
+	}
+	tol := &Tolerance{GrowthPct: growthPct, BaseMakespan: base, Probes: 1}
+	threshold := base * (1 + growthPct/100)
 	makespan := func(extra float64) (float64, error) {
-		o := opts
-		o.ExtraHopLatency = extra
-		s, err := Simulate(t, topo, mp, o)
+		m, err := run(extra)
 		if err != nil {
 			return 0, err
 		}
 		tol.Probes++
-		return s.Makespan, nil
+		return m, nil
 	}
 
 	// Bracket: double from one head-packet latency until the threshold
 	// breaks (or the bound says the workload absorbs "anything").
 	lo := 0.0
-	hi := float64(opts.PacketBytes) / opts.BandwidthBytesPerSec
+	hi := headLat
 	broke := false
 	for i := 0; i < toleranceMaxDoublings; i++ {
 		m, err := makespan(hi)

@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -67,5 +69,20 @@ func TestLatencyToleranceDeterministic(t *testing.T) {
 	}
 	if _, err := LatencyTolerance(tr, topo, mp, Options{}, -3); err == nil {
 		t.Error("negative growth threshold accepted")
+	}
+}
+
+// Non-finite thresholds are rejected before any simulation: +Inf would
+// run every probe and report a bogus saturated bound, NaN compares
+// false everywhere.
+func TestLatencyToleranceRejectsNonFiniteGrowth(t *testing.T) {
+	tr := sendTrace(8, []send{{src: 0, dst: 3, bytes: 4096, start: 0}})
+	topo := torus(t, 2, 2, 2)
+	mp := consecutive(t, 8, 8)
+	for _, g := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		_, err := LatencyTolerance(tr, topo, mp, Options{}, g)
+		if err == nil || !strings.Contains(err.Error(), "growth threshold") {
+			t.Errorf("growth %g: err = %v, want a growth threshold error", g, err)
+		}
 	}
 }

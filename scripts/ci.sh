@@ -51,6 +51,11 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 echo "=== go test (fuzz seed corpora) ==="
 go test -run 'Fuzz' ./internal/topology ./internal/service
 
+# The congest layer benchmarks (one simulation per policy, one
+# tolerance sweep) run a single iteration each so they cannot rot.
+echo "=== go test (congest benchmarks, one iteration) ==="
+go test -run '^$' -bench . -benchtime 1x ./internal/congest
+
 # perfbench is a nested module (netloc/perfbench), so the root
 # ./... patterns above never reach its unit tests.
 echo "=== go test (perfbench module) ==="
