@@ -46,6 +46,15 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The trace is expanded and release-sorted once for all three
+		// topologies.
+		prep, err := simnet.Prepare(tr, simnet.Options{
+			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
+			PacketBytes:          opts.PacketSize,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: sim %s/%d: %w", ref.App, ref.Ranks, err)
+		}
 		rows := make([]SimRow, 0, 3)
 		for _, cfg := range []topology.Config{torCfg, ftCfg, dfCfg} {
 			topo, err := opts.Cache.Topology(cfg, cfg.Build)
@@ -62,10 +71,7 @@ func SimTable(refs []WorkloadRef, opts Options) ([]SimRow, error) {
 				ssp := cell.Start("simnet")
 				defer ssp.End()
 				ssp.SetLabel(topo.Kind())
-				stats, err := simnet.Simulate(tr, topo, mp, simnet.Options{
-					BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-					PacketBytes:          opts.PacketSize,
-				})
+				stats, err := prep.Simulate(topo, mp)
 				if err != nil {
 					return nil, fmt.Errorf("core: sim %s/%d on %s: %w", ref.App, ref.Ranks, topo.Name(), err)
 				}

@@ -28,10 +28,12 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"netloc/internal/comm"
 	"netloc/internal/core"
+	"netloc/internal/mapping"
 	"netloc/internal/netmodel"
 	"netloc/internal/simnet"
 	"netloc/internal/topology"
@@ -642,6 +644,24 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 			ErrNoCandidates, req.Families, req.Ranks, req.Constraints.maxRadix())
 	}
 
+	// The flow-level replay is prepared once per search, at the first
+	// candidate that needs it (a sweep whose candidates are all filtered
+	// never does), and every candidate runs it makespan-only: the sheet
+	// reads only the makespan and the measured utilization.
+	prepare := sync.OnceValues(func() (*simnet.Prepared, error) {
+		return simnet.Prepare(t, simnet.Options{
+			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
+			PacketBytes:          opts.PacketSize,
+		})
+	})
+	simulate := func(topo topology.Topology, mp *mapping.Mapping) (*simnet.Stats, error) {
+		prep, err := prepare()
+		if err != nil {
+			return nil, err
+		}
+		return prep.Makespan(topo, mp)
+	}
+
 	total := len(cfgs)
 	outcomes := make([]configOutcome, total)
 	var done atomic.Int64
@@ -649,7 +669,7 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		oc, err := evaluateConfig(ctx, cfgs[i], req, t, acc, opts)
+		oc, err := evaluateConfig(ctx, cfgs[i], req, simulate, acc, opts)
 		if err != nil {
 			return fmt.Errorf("design: %s%s: %w", cfgs[i].Kind, cfgs[i], err)
 		}
@@ -693,8 +713,9 @@ func SearchContext(ctx context.Context, req Request, opts core.Options) (*Sheet,
 // evaluateConfig builds one configuration, prices it, filters it against
 // the cost caps, and scores it under every requested mapping. The per-
 // config work is fully sequential so the parallel fan-out above stays
-// index-deterministic.
-func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, t *trace.Trace, acc *comm.Accumulated, opts core.Options) (configOutcome, error) {
+// index-deterministic. simulate replays the search's workload on one
+// candidate under one mapping.
+func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, simulate func(topology.Topology, *mapping.Mapping) (*simnet.Stats, error), acc *comm.Accumulated, opts core.Options) (configOutcome, error) {
 	span := opts.Span.Start("candidate")
 	span.SetLabel(cfg.Kind + cfg.String())
 	defer span.End()
@@ -728,10 +749,7 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, t *tr
 		if err != nil {
 			return configOutcome{}, fmt.Errorf("netmodel under %s: %w", mapName, err)
 		}
-		sim, err := simnet.Simulate(t, topo, mp, simnet.Options{
-			BandwidthBytesPerSec: opts.BandwidthBytesPerSec,
-			PacketBytes:          opts.PacketSize,
-		})
+		sim, err := simulate(topo, mp)
 		if err != nil {
 			return configOutcome{}, fmt.Errorf("simnet under %s: %w", mapName, err)
 		}
@@ -761,8 +779,8 @@ func evaluateConfig(ctx context.Context, cfg topology.Config, req Request, t *tr
 
 // pathStats computes the mean path length and diameter over all ordered
 // compute-node pairs (uniform traffic, the objective of the minimal-MPL
-// search). Hop counts are analytic, so this is cheap even for the
-// largest enumerated candidates.
+// search). Hop counts are analytic and symmetric, so it sums the s < d
+// half and doubles it; the uint64 sum is exact either way.
 func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
 	n := topo.Nodes()
 	if n < 2 {
@@ -770,10 +788,7 @@ func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
 	}
 	var total uint64
 	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
+		for d := s + 1; d < n; d++ {
 			h := topo.HopCount(s, d)
 			total += uint64(h)
 			if h > maxHops {
@@ -781,7 +796,7 @@ func pathStats(topo topology.Topology) (mpl float64, maxHops int) {
 			}
 		}
 	}
-	return float64(total) / float64(n*(n-1)), maxHops
+	return float64(2*total) / float64(n*(n-1)), maxHops
 }
 
 // rankRows scores every row against the sheet's best values, sorts by

@@ -114,43 +114,84 @@ func (m *Mapping) UsedNodes() int {
 	return len(seen)
 }
 
+// adjacency is the symmetric rank graph of a traffic matrix in CSR
+// form: rank r's partners are peer[off[r]:off[r+1]], each with the bytes
+// the two ranks exchange in both directions. Every recorded pair appears
+// once per endpoint, zero-byte pairs included. Greedy and Refine share
+// it.
+type adjacency struct {
+	off    []int32
+	peer   []int32
+	weight []float64
+}
+
+// newAdjacency builds the exact-size adjacency in two passes over the
+// matrix: one counts each rank's distinct partners, one fills them. A
+// pair recorded in both directions is merged when its lower rank is the
+// source.
+func newAdjacency(m *comm.Matrix) adjacency {
+	ranks := m.Ranks()
+	// merged reports whether a directed entry is folded into its reverse.
+	merged := func(k comm.Key) bool { return k.Src > k.Dst && m.Lookup(k.Dst, k.Src).Messages != 0 }
+	off := make([]int32, ranks+1)
+	m.Each(func(k comm.Key, _ comm.Entry) {
+		if !merged(k) {
+			off[k.Src+1]++
+			off[k.Dst+1]++
+		}
+	})
+	for r := 0; r < ranks; r++ {
+		off[r+1] += off[r]
+	}
+	a := adjacency{off: off, peer: make([]int32, off[ranks]), weight: make([]float64, off[ranks])}
+	fill := append([]int32(nil), off[:ranks]...)
+	m.Each(func(k comm.Key, e comm.Entry) {
+		if merged(k) {
+			return
+		}
+		w := float64(e.Bytes)
+		if k.Src < k.Dst {
+			w += float64(m.Lookup(k.Dst, k.Src).Bytes)
+		}
+		i, j := fill[k.Src], fill[k.Dst]
+		a.peer[i], a.weight[i] = int32(k.Dst), w
+		a.peer[j], a.weight[j] = int32(k.Src), w
+		fill[k.Src]++
+		fill[k.Dst]++
+	})
+	return a
+}
+
+// row returns rank r's partners and the bytes exchanged with each.
+func (a adjacency) row(r int) ([]int32, []float64) {
+	lo, hi := a.off[r], a.off[r+1]
+	return a.peer[lo:hi], a.weight[lo:hi]
+}
+
 // Greedy builds a communication-aware one-rank-per-node mapping: ranks are
 // placed in order of their traffic attachment to already-placed ranks, each
 // onto the free node minimizing the volume-weighted hop distance to its
 // placed partners. This is the classic greedy topology-mapping heuristic
 // the paper's discussion motivates ("assign groups of heavily communicating
 // ranks to nearby physical entities").
+//
+// Byte weights are integers, so every cost sum is exact in any order; a
+// node's sum stops as soon as it reaches the best cost so far, which
+// cannot change the choice because the terms are non-negative and a tie
+// keeps the earlier node.
 func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 	ranks := m.Ranks()
-	if topo.Nodes() < ranks {
-		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), topo.Nodes(), ranks)
+	nodes := topo.Nodes()
+	if nodes < ranks {
+		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), nodes, ranks)
 	}
-	// Symmetric traffic between rank pairs.
-	traffic := make(map[comm.Key]float64, m.Pairs())
-	m.Each(func(k comm.Key, e comm.Entry) {
-		a, b := k.Src, k.Dst
-		if a > b {
-			a, b = b, a
-		}
-		traffic[comm.Key{Src: a, Dst: b}] += float64(e.Bytes)
-	})
-	neighbors := make([][]int, ranks)
-	weight := func(a, b int) float64 {
-		if a > b {
-			a, b = b, a
-		}
-		return traffic[comm.Key{Src: a, Dst: b}]
-	}
-	for k := range traffic {
-		neighbors[k.Src] = append(neighbors[k.Src], k.Dst)
-		neighbors[k.Dst] = append(neighbors[k.Dst], k.Src)
-	}
+	adj := newAdjacency(m)
 
 	nodeOf := make([]int, ranks)
 	for i := range nodeOf {
 		nodeOf[i] = -1
 	}
-	nodeFree := make([]bool, topo.Nodes())
+	nodeFree := make([]bool, nodes)
 	for i := range nodeFree {
 		nodeFree[i] = true
 	}
@@ -158,15 +199,15 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 	attach := make([]float64, ranks) // traffic to already-placed ranks
 
 	// Start from the rank with the largest total traffic.
-	totals := make([]float64, ranks)
-	for k, v := range traffic {
-		totals[k.Src] += v
-		totals[k.Dst] += v
-	}
-	first := 0
-	for r := 1; r < ranks; r++ {
-		if totals[r] > totals[first] {
-			first = r
+	first, firstTotal := 0, 0.0
+	for r := 0; r < ranks; r++ {
+		_, ws := adj.row(r)
+		total := 0.0
+		for _, w := range ws {
+			total += w
+		}
+		if r == 0 || total > firstTotal {
+			first, firstTotal = r, total
 		}
 	}
 
@@ -174,14 +215,21 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 		nodeOf[rank] = node
 		nodeFree[node] = false
 		placed[rank] = true
-		for _, nb := range neighbors[rank] {
+		peers, ws := adj.row(rank)
+		for i, nb := range peers {
 			if !placed[nb] {
-				attach[nb] += weight(rank, nb)
+				attach[nb] += ws[i]
 			}
 		}
 	}
 	place(first, 0)
 
+	// partner is a placed partner of the rank being placed.
+	type partner struct {
+		node int
+		w    float64
+	}
+	var partners []partner
 	for n := 1; n < ranks; n++ {
 		// Next rank: strongest attachment; ties and isolated ranks fall
 		// back to lowest index for determinism.
@@ -194,27 +242,29 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 				next = r
 			}
 		}
-		// Best free node: minimize weighted hops to placed partners.
-		bestNode, bestCost := -1, 0.0
-		hasPartner := false
-		for _, nb := range neighbors[next] {
+		partners = partners[:0]
+		peers, ws := adj.row(next)
+		for i, nb := range peers {
 			if placed[nb] {
-				hasPartner = true
-				break
+				partners = append(partners, partner{node: nodeOf[nb], w: ws[i]})
 			}
 		}
-		for node := 0; node < topo.Nodes(); node++ {
+		// Best free node: minimize weighted hops to placed partners; a
+		// rank without any goes to the first free node.
+		bestNode, bestCost := -1, 0.0
+		for node := 0; node < nodes; node++ {
 			if !nodeFree[node] {
 				continue
 			}
-			if !hasPartner {
-				bestNode = node // first free node
+			if len(partners) == 0 {
+				bestNode = node
 				break
 			}
 			cost := 0.0
-			for _, nb := range neighbors[next] {
-				if placed[nb] {
-					cost += weight(next, nb) * float64(topo.HopCount(node, nodeOf[nb]))
+			for _, p := range partners {
+				cost += p.w * float64(topo.HopCount(node, p.node))
+				if bestNode != -1 && cost >= bestCost {
+					break
 				}
 			}
 			if bestNode == -1 || cost < bestCost {
@@ -223,5 +273,5 @@ func Greedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
 		}
 		place(next, bestNode)
 	}
-	return &Mapping{nodeOf: nodeOf, nodes: topo.Nodes()}, nil
+	return &Mapping{nodeOf: nodeOf, nodes: nodes}, nil
 }

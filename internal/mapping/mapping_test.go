@@ -1,10 +1,13 @@
 package mapping
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"netloc/internal/comm"
 	"netloc/internal/topology"
+	"netloc/internal/workloads"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -293,6 +296,309 @@ func TestGreedyDeterministic(t *testing.T) {
 		n2, _ := g2.NodeOf(r)
 		if n1 != n2 {
 			t.Fatal("greedy not deterministic")
+		}
+	}
+}
+
+// referenceGreedy is Greedy as it stood on its map-based adjacency,
+// kept verbatim as the oracle for the CSR rewrite.
+func referenceGreedy(m *comm.Matrix, topo topology.Topology) (*Mapping, error) {
+	ranks := m.Ranks()
+	if topo.Nodes() < ranks {
+		return nil, fmt.Errorf("mapping: topology %s has %d nodes for %d ranks", topo.Name(), topo.Nodes(), ranks)
+	}
+	// Symmetric traffic between rank pairs.
+	traffic := make(map[comm.Key]float64, m.Pairs())
+	m.Each(func(k comm.Key, e comm.Entry) {
+		a, b := k.Src, k.Dst
+		if a > b {
+			a, b = b, a
+		}
+		traffic[comm.Key{Src: a, Dst: b}] += float64(e.Bytes)
+	})
+	neighbors := make([][]int, ranks)
+	weight := func(a, b int) float64 {
+		if a > b {
+			a, b = b, a
+		}
+		return traffic[comm.Key{Src: a, Dst: b}]
+	}
+	for k := range traffic {
+		neighbors[k.Src] = append(neighbors[k.Src], k.Dst)
+		neighbors[k.Dst] = append(neighbors[k.Dst], k.Src)
+	}
+
+	nodeOf := make([]int, ranks)
+	for i := range nodeOf {
+		nodeOf[i] = -1
+	}
+	nodeFree := make([]bool, topo.Nodes())
+	for i := range nodeFree {
+		nodeFree[i] = true
+	}
+	placed := make([]bool, ranks)
+	attach := make([]float64, ranks) // traffic to already-placed ranks
+
+	// Start from the rank with the largest total traffic.
+	totals := make([]float64, ranks)
+	for k, v := range traffic {
+		totals[k.Src] += v
+		totals[k.Dst] += v
+	}
+	first := 0
+	for r := 1; r < ranks; r++ {
+		if totals[r] > totals[first] {
+			first = r
+		}
+	}
+
+	place := func(rank, node int) {
+		nodeOf[rank] = node
+		nodeFree[node] = false
+		placed[rank] = true
+		for _, nb := range neighbors[rank] {
+			if !placed[nb] {
+				attach[nb] += weight(rank, nb)
+			}
+		}
+	}
+	place(first, 0)
+
+	for n := 1; n < ranks; n++ {
+		// Next rank: strongest attachment; ties and isolated ranks fall
+		// back to lowest index for determinism.
+		next := -1
+		for r := 0; r < ranks; r++ {
+			if placed[r] {
+				continue
+			}
+			if next == -1 || attach[r] > attach[next] {
+				next = r
+			}
+		}
+		// Best free node: minimize weighted hops to placed partners.
+		bestNode, bestCost := -1, 0.0
+		hasPartner := false
+		for _, nb := range neighbors[next] {
+			if placed[nb] {
+				hasPartner = true
+				break
+			}
+		}
+		for node := 0; node < topo.Nodes(); node++ {
+			if !nodeFree[node] {
+				continue
+			}
+			if !hasPartner {
+				bestNode = node // first free node
+				break
+			}
+			cost := 0.0
+			for _, nb := range neighbors[next] {
+				if placed[nb] {
+					cost += weight(next, nb) * float64(topo.HopCount(node, nodeOf[nb]))
+				}
+			}
+			if bestNode == -1 || cost < bestCost {
+				bestNode, bestCost = node, cost
+			}
+		}
+		place(next, bestNode)
+	}
+	return &Mapping{nodeOf: nodeOf, nodes: topo.Nodes()}, nil
+}
+
+// referenceRefine is Refine as it stood on its own per-rank edge lists,
+// kept verbatim as the oracle for the shared adjacency builder.
+func referenceRefine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses int) (*Mapping, error) {
+	ranks := m.Ranks()
+	if initial.Ranks() < ranks {
+		return nil, fmt.Errorf("mapping: initial mapping covers %d ranks, matrix has %d", initial.Ranks(), ranks)
+	}
+	if maxPasses < 1 {
+		maxPasses = 1
+	}
+	nodeOf := initial.Table()[:ranks]
+	// Verify one-rank-per-node (swaps assume it).
+	seen := make(map[int]bool, ranks)
+	for r, n := range nodeOf {
+		if seen[n] {
+			return nil, fmt.Errorf("mapping: node %d hosts multiple ranks; Refine needs one rank per node", n)
+		}
+		seen[n] = true
+		_ = r
+	}
+
+	// Symmetric adjacency with weights for delta evaluation.
+	type edge struct {
+		peer int
+		w    float64
+	}
+	adj := make([][]edge, ranks)
+	m.Each(func(k comm.Key, e comm.Entry) {
+		adj[k.Src] = append(adj[k.Src], edge{peer: k.Dst, w: float64(e.Bytes)})
+		adj[k.Dst] = append(adj[k.Dst], edge{peer: k.Src, w: float64(e.Bytes)})
+	})
+
+	// cost of rank r sitting on node n, excluding any edge to `exclude`.
+	costAt := func(r, n, exclude int) float64 {
+		var c float64
+		for _, e := range adj[r] {
+			if e.peer == exclude {
+				continue
+			}
+			c += e.w * float64(topo.HopCount(n, nodeOf[e.peer]))
+		}
+		return c
+	}
+
+	for pass := 0; pass < maxPasses; pass++ {
+		improved := false
+		for r1 := 0; r1 < ranks; r1++ {
+			if len(adj[r1]) == 0 {
+				continue
+			}
+			for r2 := r1 + 1; r2 < ranks; r2++ {
+				n1, n2 := nodeOf[r1], nodeOf[r2]
+				before := costAt(r1, n1, r2) + costAt(r2, n2, r1)
+				after := costAt(r1, n2, r2) + costAt(r2, n1, r1)
+				// The mutual r1<->r2 term is symmetric in (n1, n2) and
+				// cancels from the delta.
+				if after < before-1e-9 {
+					nodeOf[r1], nodeOf[r2] = n2, n1
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return New(nodeOf, initial.Nodes())
+}
+
+// familyTopologies builds one sized topology of every design family
+// for the given rank count.
+func familyTopologies(t testing.TB, ranks int) []topology.Topology {
+	t.Helper()
+	sized := []func(int) (topology.Config, error){
+		topology.TorusConfig, topology.FatTreeConfig, topology.DragonflyConfig,
+		topology.SlimFlyConfig, topology.JellyfishConfig, topology.HyperXConfig,
+	}
+	var out []topology.Topology
+	for _, config := range sized {
+		cfg, err := config(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, topo)
+	}
+	tc, err := topology.TorusConfig(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := topology.NewMesh(tc.X, tc.Y, tc.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, mesh)
+}
+
+// wireMatrix accumulates a generated workload's wire traffic.
+func wireMatrix(t testing.TB, app string, ranks int) *comm.Matrix {
+	t.Helper()
+	a, err := workloads.Lookup(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := a.Generate(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := comm.Accumulate(tr, comm.AccumulateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return acc.Wire
+}
+
+// Greedy's CSR adjacency, partner prefetch and early cost cut-off must
+// not move a single rank: byte weights are integers, so every cost sum
+// is exact in any order, and the cut-off only skips nodes that could
+// not win. Covered: several apps on every design family, a rank with no
+// traffic at all, and a matrix whose candidate nodes tie on cost.
+func TestGreedyMatchesReference(t *testing.T) {
+	type cell struct {
+		name string
+		m    *comm.Matrix
+	}
+	var cells []cell
+	for _, c := range []struct {
+		app   string
+		ranks int
+	}{{"LULESH", 64}, {"MiniFE", 144}, {"Crystal Router", 100}, {"AMR_Miniapp", 64}} {
+		cells = append(cells, cell{fmt.Sprintf("%s/%d", c.app, c.ranks), wireMatrix(t, c.app, c.ranks)})
+	}
+	// Rank 5 is silent; ranks 0-1 and 2-3 exchange equal volumes both
+	// ways (merged weights), and rank 4 talks to both pairs equally, so
+	// several free nodes tie on cost.
+	silent, err := comm.NewMatrix(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][3]int{{0, 1, 100}, {1, 0, 100}, {2, 3, 100}, {3, 2, 100}, {4, 0, 50}, {4, 2, 50}, {6, 7, 0}, {7, 6, 1}} {
+		if err := silent.Add(e[0], e[1], uint64(e[2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells = append(cells, cell{"silent+ties/8", silent})
+
+	for _, c := range cells {
+		for _, topo := range familyTopologies(t, c.m.Ranks()) {
+			want, err := referenceGreedy(c.m, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Greedy(c.m, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Table(), want.Table()) || got.Nodes() != want.Nodes() {
+				t.Errorf("%s on %s: Greedy diverged from the reference\n got %v\nwant %v",
+					c.name, topo.Name(), got.Table(), want.Table())
+			}
+		}
+	}
+}
+
+// Refine on the shared merged adjacency must swap exactly as it did on
+// per-direction edge lists.
+func TestRefineMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		app   string
+		ranks int
+	}{{"LULESH", 64}, {"Crystal Router", 100}} {
+		m := wireMatrix(t, c.app, c.ranks)
+		for _, topo := range familyTopologies(t, c.ranks)[:3] {
+			initial, err := Random(c.ranks, topo.Nodes(), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceRefine(m, topo, initial, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Refine(m, topo, initial, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Table(), want.Table()) {
+				t.Errorf("%s/%d on %s: Refine diverged from the reference", c.app, c.ranks, topo.Name())
+			}
 		}
 	}
 }

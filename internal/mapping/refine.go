@@ -62,25 +62,17 @@ func Refine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses 
 		_ = r
 	}
 
-	// Symmetric adjacency with weights for delta evaluation.
-	type edge struct {
-		peer int
-		w    float64
-	}
-	adj := make([][]edge, ranks)
-	m.Each(func(k comm.Key, e comm.Entry) {
-		adj[k.Src] = append(adj[k.Src], edge{peer: k.Dst, w: float64(e.Bytes)})
-		adj[k.Dst] = append(adj[k.Dst], edge{peer: k.Src, w: float64(e.Bytes)})
-	})
+	adj := newAdjacency(m)
 
 	// cost of rank r sitting on node n, excluding any edge to `exclude`.
 	costAt := func(r, n, exclude int) float64 {
 		var c float64
-		for _, e := range adj[r] {
-			if e.peer == exclude {
+		peers, ws := adj.row(r)
+		for i, peer := range peers {
+			if int(peer) == exclude {
 				continue
 			}
-			c += e.w * float64(topo.HopCount(n, nodeOf[e.peer]))
+			c += ws[i] * float64(topo.HopCount(n, nodeOf[peer]))
 		}
 		return c
 	}
@@ -88,7 +80,7 @@ func Refine(m *comm.Matrix, topo topology.Topology, initial *Mapping, maxPasses 
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for r1 := 0; r1 < ranks; r1++ {
-			if len(adj[r1]) == 0 {
+			if adj.off[r1] == adj.off[r1+1] {
 				continue
 			}
 			for r2 := r1 + 1; r2 < ranks; r2++ {

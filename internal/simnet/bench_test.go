@@ -58,3 +58,33 @@ func BenchmarkSimulateMiniFE144FatTree(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMakespanRun is one design-search candidate's replay: a
+// makespan-only run of a prepared LULESH/512 trace on the sized
+// dragonfly under the consecutive mapping.
+func BenchmarkMakespanRun(b *testing.B) {
+	tr := genTrace(b, "LULESH", 512)
+	cfg, err := topology.DragonflyConfig(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := cfg.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mp, err := mapping.Consecutive(512, topo.Nodes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prep, err := Prepare(tr, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := prep.Makespan(topo, mp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // genTrace generates a synthetic workload trace for simulator tests.
-func genTrace(t *testing.T, app string, ranks int) *trace.Trace {
+func genTrace(t testing.TB, app string, ranks int) *trace.Trace {
 	t.Helper()
 	a, err := workloads.Lookup(app)
 	if err != nil {

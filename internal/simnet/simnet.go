@@ -14,8 +14,10 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -126,22 +128,46 @@ type Stats struct {
 
 // message is one wire transfer with a release time.
 type message struct {
-	src, dst int
-	bytes    uint64
+	src, dst int32   // ranks
+	serial   float64 // seconds on one link
 	release  float64 // seconds
 }
 
-// Simulate replays the trace's wire messages over the topology.
-func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
+// rankPair is one distinct (src, dst) rank pair of a prepared trace.
+type rankPair struct{ src, dst int32 }
+
+// routeSpan locates one rank pair's link path in a run's route arena;
+// n < 0 marks a pair whose ranks share a node.
+type routeSpan struct {
+	off, n int32
+}
+
+// Prepared is a trace expanded once for replay on any topology under
+// any mapping: validated options, the wire messages in stable release
+// order, their distinct rank pairs and each rank's release timeline.
+// Nothing in it depends on the topology or the mapping, so a design
+// search or a table cell prepares once and runs every candidate. A
+// Prepared is read-only after Prepare and safe for concurrent runs.
+type Prepared struct {
+	opts  Options
+	ranks int
+	msgs  []message
+	// pairOf[i] indexes msgs[i]'s rank pair in pairs, which lists the
+	// distinct pairs in order of first release.
+	pairOf []int32
+	pairs  []rankPair
+	// releases[relOff[r]:relOff[r+1]] is rank r's sorted release
+	// timeline, the slackness analysis' proxy for when data is needed.
+	relOff   []int32
+	releases []float64
+}
+
+// Prepare validates the options and expands the trace into its wire
+// messages in release order.
+func Prepare(t *trace.Trace, opts Options) (*Prepared, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
-	}
-	if mp.Ranks() < t.Meta.Ranks {
-		return nil, fmt.Errorf("simnet: mapping covers %d ranks, trace has %d", mp.Ranks(), t.Meta.Ranks)
-	}
-	if mp.Nodes() > topo.Nodes() {
-		return nil, fmt.Errorf("simnet: mapping node space %d exceeds topology %s", mp.Nodes(), topo.Name())
 	}
 	world, err := mpi.World(t.Meta.Ranks)
 	if err != nil {
@@ -160,10 +186,11 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 				continue
 			}
 			msgs = append(msgs, message{
-				src: m.Src, dst: m.Dst, bytes: m.Bytes,
+				src: int32(m.Src), dst: int32(m.Dst),
+				serial:  float64(m.Bytes) / opts.BandwidthBytesPerSec,
 				release: float64(e.Start) / 1e9,
 			})
-			if len(msgs) > opts.MaxMessages {
+			if len(msgs) > opts.MaxMessages || len(msgs) > math.MaxInt32 {
 				return nil, fmt.Errorf("simnet: message count exceeds limit %d", opts.MaxMessages)
 			}
 		}
@@ -171,23 +198,113 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	if len(msgs) == 0 {
 		return nil, fmt.Errorf("simnet: trace has no wire messages")
 	}
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].release < msgs[j].release })
+	slices.SortStableFunc(msgs, func(a, b message) int { return cmp.Compare(a.release, b.release) })
 
-	bw := opts.BandwidthBytesPerSec
-	hopLat := float64(opts.PacketBytes) / bw // head-packet serialization per hop
+	// Pairs are numbered in release order, so a run routes (and reports
+	// the first routing error of) them in the order messages meet them.
+	p := &Prepared{
+		opts: opts, ranks: t.Meta.Ranks, msgs: msgs,
+		pairOf:   make([]int32, len(msgs)),
+		relOff:   make([]int32, t.Meta.Ranks+1),
+		releases: make([]float64, len(msgs)),
+	}
+	ids := make(map[rankPair]int32)
+	for i, m := range msgs {
+		rp := rankPair{src: m.src, dst: m.dst}
+		id, ok := ids[rp]
+		if !ok {
+			id = int32(len(p.pairs))
+			ids[rp] = id
+			p.pairs = append(p.pairs, rp)
+		}
+		p.pairOf[i] = id
+		p.relOff[m.src+1]++
+	}
+	for r := 0; r < t.Meta.Ranks; r++ {
+		p.relOff[r+1] += p.relOff[r]
+	}
+	fill := append([]int32(nil), p.relOff[:t.Meta.Ranks]...)
+	for _, m := range msgs {
+		p.releases[fill[m.src]] = m.release
+		fill[m.src]++
+	}
+	return p, nil
+}
+
+// Simulate replays the trace's wire messages over the topology.
+func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts Options) (*Stats, error) {
+	p, err := Prepare(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(topo, mp, true)
+}
+
+// Simulate replays the prepared messages over the topology under the
+// mapping; the Stats equal the package-level Simulate's.
+func (p *Prepared) Simulate(topo topology.Topology, mp *mapping.Mapping) (*Stats, error) {
+	return p.run(topo, mp, true)
+}
+
+// Makespan replays the prepared messages like Simulate but tracks only
+// link occupancy: the Stats carry Messages, HopsTraversed, Makespan and
+// the link-busy fields, bit-equal to a full run's, and leave the
+// latency and slack fields zero.
+func (p *Prepared) Makespan(topo topology.Topology, mp *mapping.Mapping) (*Stats, error) {
+	return p.run(topo, mp, false)
+}
+
+// run is the one replay kernel. It routes each distinct rank pair once
+// into a flat arena (routes depend only on the endpoints), then reserves
+// the links of every message in release order. With full false it skips
+// the latency and slack bookkeeping; the link reservations, and so the
+// makespan and link-busy shares, are the same either way.
+func (p *Prepared) run(topo topology.Topology, mp *mapping.Mapping, full bool) (*Stats, error) {
+	if mp.Ranks() < p.ranks {
+		return nil, fmt.Errorf("simnet: mapping covers %d ranks, trace has %d", mp.Ranks(), p.ranks)
+	}
+	if mp.Nodes() > topo.Nodes() {
+		return nil, fmt.Errorf("simnet: mapping node space %d exceeds topology %s", mp.Nodes(), topo.Name())
+	}
+	spans := make([]routeSpan, len(p.pairs))
+	arena := make([]int32, 0, 4*len(p.pairs))
+	var route []int
+	for i, rp := range p.pairs {
+		ns, err := mp.NodeOf(int(rp.src))
+		if err != nil {
+			return nil, err
+		}
+		nd, err := mp.NodeOf(int(rp.dst))
+		if err != nil {
+			return nil, err
+		}
+		if ns == nd {
+			spans[i].n = -1 // intra-node: no network involvement
+			continue
+		}
+		route, err = topo.Route(ns, nd, route)
+		if err != nil {
+			return nil, err
+		}
+		if len(arena)+len(route) > math.MaxInt32 {
+			return nil, fmt.Errorf("simnet: route arena exceeds %d links", math.MaxInt32)
+		}
+		spans[i] = routeSpan{off: int32(len(arena)), n: int32(len(route))}
+		for _, li := range route {
+			arena = append(arena, int32(li))
+		}
+	}
+
+	hopLat := float64(p.opts.PacketBytes) / p.opts.BandwidthBytesPerSec // head-packet serialization per hop
 	linkFree := make([]float64, len(topo.Links()))
 	linkBusy := make([]float64, len(topo.Links()))
 
-	// Per-rank release timelines for the slackness analysis: the sorted
-	// release times of each rank's own messages.
-	releasesByRank := make([][]float64, t.Meta.Ranks)
-	for _, m := range msgs {
-		releasesByRank[m.src] = append(releasesByRank[m.src], m.release)
+	var latencies, slacks []float64
+	if full {
+		latencies = make([]float64, 0, len(p.msgs))
 	}
-
-	latencies := make([]float64, 0, len(msgs))
 	var idealSum float64
-	var delayed int
+	var delayed, messages int
 	// The makespan window opens at the first message that actually
 	// enters the network: intra-node messages are skipped below, so
 	// taking msgs[0].release would stretch the window — and skew
@@ -197,38 +314,22 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 	var firstRelease float64
 	haveFirst := false
 	var lastArrival float64
-	var slacks []float64
 	var slackCovered int
 	var hopsTraversed uint64
 
-	var route []int
-	for _, m := range msgs {
-		ns, err := mp.NodeOf(m.src)
-		if err != nil {
-			return nil, err
-		}
-		nd, err := mp.NodeOf(m.dst)
-		if err != nil {
-			return nil, err
-		}
-		if ns == nd {
-			continue // intra-node: no network involvement
+	for i, m := range p.msgs {
+		sp := spans[p.pairOf[i]]
+		if sp.n < 0 {
+			continue
 		}
 		if !haveFirst {
 			firstRelease = m.release
 			haveFirst = true
 		}
-		route, err = topo.Route(ns, nd, route)
-		if err != nil {
-			return nil, err
-		}
-		serial := float64(m.bytes) / bw
-		ideal := float64(len(route)-1)*hopLat + serial
-		hopsTraversed += uint64(len(route))
-
+		serial := m.serial
 		headTime := m.release
 		wasDelayed := false
-		for i, li := range route {
+		for i, li := range arena[sp.off : sp.off+sp.n] {
 			if i > 0 {
 				headTime += hopLat
 			}
@@ -240,18 +341,22 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 			linkBusy[li] += serial
 		}
 		arrival := headTime + serial
-		lat := arrival - m.release
-		latencies = append(latencies, lat)
-		idealSum += ideal
-		if wasDelayed {
-			delayed++
-		}
 		if arrival > lastArrival {
 			lastArrival = arrival
 		}
+		messages++
+		hopsTraversed += uint64(sp.n)
+		if !full {
+			continue
+		}
+		latencies = append(latencies, arrival-m.release)
+		idealSum += float64(sp.n-1)*hopLat + serial
+		if wasDelayed {
+			delayed++
+		}
 		// Slack: time until the receiver's next own release after this
 		// arrival.
-		if next, ok := nextReleaseAfter(releasesByRank[m.dst], arrival); ok {
+		if next, ok := nextReleaseAfter(p.releases[p.relOff[m.dst]:p.relOff[m.dst+1]], arrival); ok {
 			slack := next - arrival
 			slacks = append(slacks, slack)
 			if slack >= serial {
@@ -259,28 +364,11 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 			}
 		}
 	}
-	if len(latencies) == 0 {
+	if messages == 0 {
 		return nil, fmt.Errorf("simnet: all messages were intra-node")
 	}
 
-	stats := &Stats{Messages: len(latencies), HopsTraversed: hopsTraversed}
-	sort.Float64s(latencies)
-	var sum float64
-	for _, l := range latencies {
-		sum += l
-	}
-	stats.MeanLatency = sum / float64(len(latencies))
-	stats.MedianLatency = latencies[len(latencies)/2]
-	stats.P99Latency = nstats.NearestRankSorted(latencies, 0.99)
-	stats.MaxLatency = latencies[len(latencies)-1]
-	stats.MeanIdealLatency = idealSum / float64(len(latencies))
-	stats.MeanQueueDelay = stats.MeanLatency - stats.MeanIdealLatency
-	if stats.MeanQueueDelay < 0 {
-		stats.MeanQueueDelay = 0 // float accumulation noise when nothing queued
-	}
-	stats.DelayedShare = float64(delayed) / float64(len(latencies))
-	stats.Makespan = lastArrival - firstRelease
-
+	stats := &Stats{Messages: messages, HopsTraversed: hopsTraversed, Makespan: lastArrival - firstRelease}
 	if stats.Makespan > 0 {
 		var busySum, busyMax, busyMin float64
 		used := 0
@@ -303,6 +391,25 @@ func Simulate(t *trace.Trace, topo topology.Topology, mp *mapping.Mapping, opts 
 		}
 		stats.MaxLinkBusyPct = nstats.ClampPct(100 * busyMax / stats.Makespan)
 	}
+	if !full {
+		return stats, nil
+	}
+
+	sort.Float64s(latencies)
+	var sum float64
+	for _, l := range latencies {
+		sum += l
+	}
+	stats.MeanLatency = sum / float64(len(latencies))
+	stats.MedianLatency = latencies[len(latencies)/2]
+	stats.P99Latency = nstats.NearestRankSorted(latencies, 0.99)
+	stats.MaxLatency = latencies[len(latencies)-1]
+	stats.MeanIdealLatency = idealSum / float64(len(latencies))
+	stats.MeanQueueDelay = stats.MeanLatency - stats.MeanIdealLatency
+	if stats.MeanQueueDelay < 0 {
+		stats.MeanQueueDelay = 0 // float accumulation noise when nothing queued
+	}
+	stats.DelayedShare = float64(delayed) / float64(len(latencies))
 	if len(slacks) > 0 {
 		stats.SlackSamples = len(slacks)
 		sort.Float64s(slacks)

@@ -214,10 +214,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Meta: tr.Meta()}
-	if tr.Remaining() < 1<<24 { // avoid huge speculative allocs on hostile input
-		t.Events = make([]Event, 0, tr.Remaining())
-	}
+	// The declared count is untrusted: preallocate at most 64 Ki events
+	// (4 MiB) and let append grow past that as records actually arrive.
+	t := &Trace{Meta: tr.Meta(), Events: make([]Event, 0, min(tr.Remaining(), 1<<16))}
 	for {
 		e, err := tr.Read()
 		if err == io.EOF {

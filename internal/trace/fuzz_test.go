@@ -2,8 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestBinaryReaderSurvivesCorruption flips random bytes in valid trace
@@ -101,5 +105,53 @@ func TestHeaderLengthFieldAbuse(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader(raw)); err == nil {
 		t.Fatal("huge declared event count with empty body accepted")
+	}
+}
+
+// Regression: a 27-byte body whose header declares 2^24-1 events made
+// ReadTrace preallocate 1 GiB (64-byte Event x 16 Mi) before reading a
+// single record. The declared count must only cap, not size, the first
+// allocation.
+func TestReadTraceHostileCountBoundsAllocation(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Meta{App: "x", Ranks: 2, WallTime: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if len(raw) != 27 {
+		t.Fatalf("header is %d bytes, want 27", len(raw))
+	}
+	// The event-count field is the last 8 bytes of the header.
+	binary.LittleEndian.PutUint64(raw[len(raw)-8:], 1<<24-1)
+
+	type result struct {
+		err   error
+		alloc uint64
+	}
+	done := make(chan result, 1)
+	go func() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadTrace(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		done <- result{err, after.TotalAlloc - before.TotalAlloc}
+	}()
+	select {
+	case <-ctx.Done():
+		t.Fatal("ReadTrace did not return before the deadline")
+	case r := <-done:
+		if r.err == nil {
+			t.Fatal("declared 2^24-1 events with an empty body accepted")
+		}
+		if r.alloc >= 16<<20 {
+			t.Fatalf("ReadTrace allocated %d bytes for a 27-byte body (want < 16 MiB)", r.alloc)
+		}
 	}
 }

@@ -51,10 +51,12 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 echo "=== go test (fuzz seed corpora) ==="
 go test -run 'Fuzz' ./internal/topology ./internal/service
 
-# The congest layer benchmarks (one simulation per policy, one
-# tolerance sweep) run a single iteration each so they cannot rot.
-echo "=== go test (congest benchmarks, one iteration) ==="
-go test -run '^$' -bench . -benchtime 1x ./internal/congest
+# The simulator and mapping layer benchmarks (congest: one simulation
+# per policy and one tolerance sweep; simnet: full and makespan-only
+# replays; mapping: greedy placement) run a single iteration each so
+# they cannot rot.
+echo "=== go test (layer benchmarks, one iteration) ==="
+go test -run '^$' -bench . -benchtime 1x ./internal/congest ./internal/simnet ./internal/mapping
 
 # perfbench is a nested module (netloc/perfbench), so the root
 # ./... patterns above never reach its unit tests.
