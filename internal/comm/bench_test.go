@@ -91,3 +91,22 @@ func BenchmarkMatrixBySource(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAccumulateFanout accumulates 4 alltoall rounds on 1024 ranks:
+// every collective shape fans out to the whole communicator, so each
+// caller's wire row is dense from its first shape on.
+func BenchmarkAccumulateFanout(b *testing.B) {
+	t := &trace.Trace{Meta: trace.Meta{App: "bench", Ranks: 1024, WallTime: 1}}
+	for c := 0; c < 4; c++ {
+		for r := 0; r < 1024; r++ {
+			t.Events = append(t.Events, trace.Event{Rank: r, Op: trace.OpAlltoall, Peer: -1, Root: -1, Bytes: 1 << 20})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Accumulate(t, AccumulateOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

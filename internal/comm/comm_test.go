@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netloc/internal/mpi"
 	"netloc/internal/parallel"
 	"netloc/internal/trace"
 )
@@ -462,6 +463,68 @@ func TestRowAccessorsAgreeAcrossRepresentations(t *testing.T) {
 		for i, d := range ad {
 			if bySrc[d] != av[i] {
 				t.Fatalf("src %d dst %d: AppendBySource vol %g != BySource %g", src, d, av[i], bySrc[d])
+			}
+		}
+	}
+}
+
+// A collective shape whose expansion alone fills its caller's row past
+// the density threshold starts that row dense; a shape that repeats one
+// destination (ring allreduce) leaves it sparse. Either way the entries,
+// pair count and totals equal those of adding every expanded message.
+func TestFlushCollectivesPromotesFanoutRows(t *testing.T) {
+	const ranks = 64
+	tr := &trace.Trace{Meta: trace.Meta{App: "fanout", Ranks: ranks, WallTime: 1}}
+	for r := 0; r < ranks; r++ {
+		for c := 0; c < 3; c++ {
+			tr.Events = append(tr.Events, trace.Event{Rank: r, Op: trace.OpAlltoall, Peer: -1, Root: -1, Bytes: 6400})
+		}
+	}
+	world, err := mpi.World(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []mpi.Strategy{mpi.StrategyDirect, mpi.StrategyRing} {
+		for i := range tr.Events {
+			tr.Events[i].Op = trace.OpAlltoall
+			if strategy == mpi.StrategyRing {
+				tr.Events[i].Op = trace.OpAllreduce
+			}
+		}
+		acc, err := Accumulate(tr, AccumulateOptions{Strategy: strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewMatrix(ranks, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tr.Events {
+			msgs, err := mpi.ExpandEvent(nil, e, world, mpi.ExpandOptions{Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, msg := range msgs {
+				if err := want.Add(msg.Src, msg.Dst, msg.Bytes); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got := acc.Wire
+		if got.Pairs() != want.Pairs() || got.TotalBytes() != want.TotalBytes() ||
+			got.TotalMessages() != want.TotalMessages() || got.TotalPackets() != want.TotalPackets() {
+			t.Fatalf("%v: pairs/bytes/msgs/pkts %d/%d/%d/%d, want %d/%d/%d/%d", strategy,
+				got.Pairs(), got.TotalBytes(), got.TotalMessages(), got.TotalPackets(),
+				want.Pairs(), want.TotalBytes(), want.TotalMessages(), want.TotalPackets())
+		}
+		for src := 0; src < ranks; src++ {
+			for dst := 0; dst < ranks; dst++ {
+				if g, w := got.Lookup(src, dst), want.Lookup(src, dst); g != w {
+					t.Fatalf("%v: entry (%d,%d) = %+v, want %+v", strategy, src, dst, g, w)
+				}
+			}
+			if dense := got.dense[src] != nil; dense != (strategy == mpi.StrategyDirect) {
+				t.Fatalf("%v: row %d dense = %v", strategy, src, dense)
 			}
 		}
 	}

@@ -193,6 +193,14 @@ type Analysis struct {
 // cannot poison later registry analyses.
 func AnalyzeTrace(t *trace.Trace, opts Options) (*Analysis, error) {
 	opts = opts.WithEngine()
+	if !opts.SkipTopologies {
+		// A trace no topology configuration covers fails in the topology
+		// stage anyway; fail before accumulation sizes per-rank tables by
+		// a rank count the (possibly untrusted) header merely claims.
+		if _, _, _, err := topology.Configs(t.Meta.Ranks); err != nil {
+			return nil, err
+		}
+	}
 	acc, err := Accumulate(t, opts)
 	if err != nil {
 		return nil, err

@@ -66,3 +66,76 @@ func BenchmarkMultiCoreSeries(b *testing.B) {
 		}
 	}
 }
+
+// runKindsMatrices builds the two traffic shapes of BenchmarkRunKinds on
+// 1024 ranks: a dense all-to-all collective matrix (every ordered pair)
+// and a sparse 16×8×8 periodic 6-point stencil.
+func runKindsMatrices(b *testing.B) (dense, stencil *comm.Matrix) {
+	b.Helper()
+	const ranks = 1024
+	var err error
+	if dense, err = comm.NewMatrix(ranks, 0); err != nil {
+		b.Fatal(err)
+	}
+	if stencil, err = comm.NewMatrix(ranks, 0); err != nil {
+		b.Fatal(err)
+	}
+	for src := 0; src < ranks; src++ {
+		for dst := 0; dst < ranks; dst++ {
+			if dst != src {
+				if err := dense.AddN(src, dst, 8192, 4); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		x, y, z := src%16, (src/16)%8, src/128
+		for _, d := range [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+			nx, ny, nz := (x+d[0]+16)%16, (y+d[1]+8)%8, (z+d[2]+8)%8
+			if err := stencil.AddN(src, nx+16*ny+128*nz, 65536, 100); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return dense, stencil
+}
+
+// BenchmarkRunKinds times one link-tracking Run per topology family on a
+// dense collective and a sparse stencil matrix under the consecutive
+// mapping, so each family's flow kernel is measured on both extremes.
+func BenchmarkRunKinds(b *testing.B) {
+	dense, stencil := runKindsMatrices(b)
+	for _, c := range []struct {
+		kind string
+		cfg  func(int) (topology.Config, error)
+	}{
+		{"torus", topology.TorusConfig}, {"fattree", topology.FatTreeConfig},
+		{"dragonfly", topology.DragonflyConfig}, {"slimfly", topology.SlimFlyConfig},
+		{"jellyfish", topology.JellyfishConfig}, {"hyperx", topology.HyperXConfig},
+	} {
+		cfg, err := c.cfg(dense.Ranks())
+		if err != nil {
+			b.Fatal(err)
+		}
+		topo, err := cfg.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		mp, err := mapping.Consecutive(dense.Ranks(), topo.Nodes())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mc := range []struct {
+			name string
+			m    *comm.Matrix
+		}{{"dense", dense}, {"stencil", stencil}} {
+			b.Run(c.kind+"/"+mc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Run(mc.m, topo, mp, Options{WallTime: 1, TrackLinks: true}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -11,7 +11,9 @@
 package netmodel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"netloc/internal/comm"
 	"netloc/internal/mapping"
@@ -109,66 +111,27 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 
 	res := &Result{Topology: topo.Name()}
 	var classes []topology.LinkClass
+	var kernel topology.FlowKernel
 	if opts.TrackLinks {
 		res.LinkBytes = make([]uint64, len(topo.Links()))
 		classes = topo.LinkClasses()
-	}
-	// Resolve the rank→node table once instead of twice per matrix pair.
-	nodeOf := make([]int, m.Ranks())
-	for r := range nodeOf {
-		n, err := mp.NodeOf(r)
-		if err != nil {
-			return nil, err
-		}
-		nodeOf[r] = n
-	}
-	var globalMsgs uint64
-	var iterErr error
-	if torus, ok := topo.(*topology.Torus); ok && opts.TrackLinks {
-		// Torus fast path: hop counts are O(1) and the per-link loads of
-		// one source's routes are tree-accumulated in O(nodes) instead of
-		// walking every pair's route. A torus has no global links, so
-		// GlobalMsgShare stays zero exactly as the route walk would leave
-		// it. Flows from different sources are independent integer sums,
-		// so accumulating rank by rank is exact even when several ranks
-		// share a node.
-		dstBytes := make([]uint64, topo.Nodes())
-		var sc topology.FlowScratch
-		for src := 0; src < m.Ranks() && iterErr == nil; src++ {
-			ns := nodeOf[src]
-			any := false
-			m.EachDst(src, func(dst int, e comm.Entry) {
-				nd := nodeOf[dst]
-				if ns == nd {
-					res.IntraNodeBytes += e.Bytes
-					return
-				}
-				res.InterNodeBytes += e.Bytes
-				res.Messages += e.Messages
-				res.Packets += e.Packets
-				hops := uint64(torus.HopCount(ns, nd))
-				res.PacketHops += e.Packets * hops
-				res.ByteHops += e.Bytes * hops
-				if e.Bytes > 0 {
-					dstBytes[nd] += e.Bytes
-					any = true
-				}
-			})
-			if !any {
-				continue
-			}
-			iterErr = torus.AccumulateFlows(ns, dstBytes, res.LinkBytes, &sc)
-			for i := range dstBytes {
-				dstBytes[i] = 0
-			}
-		}
+		kernel = topology.NewFlowKernel(topo, res.LinkBytes)
 	} else {
-		var buf []int
-		m.Each(func(k comm.Key, e comm.Entry) {
-			if iterErr != nil {
-				return
-			}
-			ns, nd := nodeOf[k.Src], nodeOf[k.Dst]
+		kernel = &hopKernel{topo: topo}
+	}
+	nodeOf := mp.NodeTable()[:m.Ranks()]
+	// Feed the kernel sources in node order, the order its per-source,
+	// per-row and per-switch aggregates are flushed in. Every sum is an
+	// exact integer sum, so the visiting order changes no result.
+	order := ranksByNode(nodeOf)
+	for i := range nodeOf {
+		src := i
+		if order != nil {
+			src = int(order[i])
+		}
+		ns := nodeOf[src]
+		m.EachDst(src, func(dst int, e comm.Entry) {
+			nd := nodeOf[dst]
 			if ns == nd {
 				res.IntraNodeBytes += e.Bytes
 				return
@@ -176,38 +139,14 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 			res.InterNodeBytes += e.Bytes
 			res.Messages += e.Messages
 			res.Packets += e.Packets
-			var hops int
-			if opts.TrackLinks {
-				// The routed path is minimal (property-tested against BFS
-				// for every topology), so its length doubles as the hop
-				// count — one traversal instead of HopCount plus Route.
-				var err error
-				buf, err = topo.Route(ns, nd, buf)
-				if err != nil {
-					iterErr = err
-					return
-				}
-				hops = len(buf)
-				crossesGlobal := false
-				for _, li := range buf {
-					res.LinkBytes[li] += e.Bytes
-					if classes[li] == topology.ClassGlobal {
-						crossesGlobal = true
-					}
-				}
-				if crossesGlobal {
-					globalMsgs += e.Messages
-				}
-			} else {
-				hops = topo.HopCount(ns, nd)
-			}
-			res.PacketHops += e.Packets * uint64(hops)
-			res.ByteHops += e.Bytes * uint64(hops)
+			kernel.Add(ns, nd, e.Bytes, e.Messages, e.Packets)
 		})
 	}
-	if iterErr != nil {
-		return nil, iterErr
+	tot, err := kernel.Finish()
+	if err != nil {
+		return nil, err
 	}
+	res.PacketHops, res.ByteHops = tot.PacketHops, tot.ByteHops
 
 	if res.Packets > 0 {
 		res.AvgHops = float64(res.PacketHops) / float64(res.Packets)
@@ -229,7 +168,7 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 			}
 		}
 		if res.Messages > 0 {
-			res.GlobalMsgShare = float64(globalMsgs) / float64(res.Messages)
+			res.GlobalMsgShare = float64(tot.GlobalMsgs) / float64(res.Messages)
 		}
 		if res.UsedLinks > 0 && opts.WallTime > 0 {
 			res.UtilizationValid = true
@@ -245,6 +184,42 @@ func Run(m *comm.Matrix, topo topology.Topology, mp *mapping.Mapping, opts Optio
 		}
 	}
 	return res, nil
+}
+
+// hopKernel is the flow kernel of runs without link tracking: it sums
+// HopCount per flow and tracks neither link loads nor global messages.
+type hopKernel struct {
+	topo topology.Topology
+	tot  topology.FlowTotals
+}
+
+func (k *hopKernel) Add(src, dst int, bytes, _, pkts uint64) {
+	hops := uint64(k.topo.HopCount(src, dst))
+	k.tot.PacketHops += pkts * hops
+	k.tot.ByteHops += bytes * hops
+}
+
+func (k *hopKernel) Finish() (topology.FlowTotals, error) { return k.tot, nil }
+
+// ranksByNode returns the ranks ordered by their node, ranks ascending
+// within a node, or nil when the mapping already is in that order (the
+// consecutive and blocked mappings).
+func ranksByNode(nodeOf []int) []int32 {
+	sorted := true
+	for r := 1; r < len(nodeOf) && sorted; r++ {
+		sorted = nodeOf[r-1] <= nodeOf[r]
+	}
+	if sorted {
+		return nil
+	}
+	order := make([]int32, len(nodeOf))
+	for r := range order {
+		order[r] = int32(r)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(nodeOf[a], nodeOf[b]), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // InterNodeBytes returns the traffic volume crossing node boundaries when

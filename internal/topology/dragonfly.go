@@ -244,14 +244,19 @@ func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
 	if src == dst {
 		return buf, nil
 	}
-	gs, gd := d.groupOf(src), d.groupOf(dst)
-	rs, rd := d.routerOf(src), d.routerOf(dst)
 	buf = append(buf, d.termLink[src])
+	buf = d.appendRouterRoute(buf, d.groupOf(src), d.routerOf(src), d.groupOf(dst), d.routerOf(dst))
+	return append(buf, d.termLink[dst]), nil
+}
+
+// appendRouterRoute appends the router-to-router links of the minimal
+// route from router rs of group gs to router rd of group gd.
+func (d *Dragonfly) appendRouterRoute(buf []int, gs, rs, gd, rd int) []int {
 	if gs == gd {
 		if rs != rd {
 			buf = append(buf, d.localLink[gs][rs*d.a+rd])
 		}
-		return append(buf, d.termLink[dst]), nil
+		return buf
 	}
 	k := d.gatewayPort(gs, gd)
 	srcGW := int(d.portRouter[k])
@@ -261,7 +266,7 @@ func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
 		// The canonical route needs two local hops; prefer an aligned
 		// 4-hop double-global shortcut when one exists.
 		if k1, k2, ok := d.twoGlobalShortcut(rs, rd, gs, gd); ok {
-			return append(buf, d.globalOf[k1], d.globalOf[k2], d.termLink[dst]), nil
+			return append(buf, d.globalOf[k1], d.globalOf[k2])
 		}
 	}
 	if rs != srcGW {
@@ -271,7 +276,14 @@ func (d *Dragonfly) Route(src, dst int, buf []int) ([]int, error) {
 	if dstGW != rd {
 		buf = append(buf, d.localLink[gd][dstGW*d.a+rd])
 	}
-	return append(buf, d.termLink[dst]), nil
+	return buf
+}
+
+// Routers are numbered group-major, so node v attaches to router v / p.
+func (d *Dragonfly) switchShape() (switches, perSwitch int) { return d.a * d.groups, d.p }
+func (d *Dragonfly) terminalLinks() []int                   { return d.termLink }
+func (d *Dragonfly) appendSwitchRoute(buf []int, s, t int) ([]int, error) {
+	return d.appendRouterRoute(buf, s/d.a, s%d.a, t/d.a, t%d.a), nil
 }
 
 var _ Topology = (*Dragonfly)(nil)

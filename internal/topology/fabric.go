@@ -116,9 +116,8 @@ func (f *fabric) hopCount(src, dst int) int {
 	return int(f.dist[ss][ds]) + 2
 }
 
-// route is the shared minimal route: greedy descent on the destination's
-// distance table, taking the first distance-decreasing neighbor in link
-// order at every switch — deterministic and exactly hopCount links long.
+// route is the shared minimal route: the source terminal link, the
+// switch route, the destination terminal link.
 func (f *fabric) route(t Topology, src, dst int, buf []int) ([]int, error) {
 	if err := checkEndpoints(t, src, dst); err != nil {
 		return nil, err
@@ -128,10 +127,23 @@ func (f *fabric) route(t Topology, src, dst int, buf []int) ([]int, error) {
 		return buf, nil
 	}
 	buf = append(buf, f.termLink[src])
-	ds := f.switchOf(dst)
-	d := f.dist[ds]
-	cur := f.switchOf(src)
-	for cur != ds {
+	buf, err := f.appendSwitchRoute(buf, f.switchOf(src), f.switchOf(dst))
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, f.termLink[dst]), nil
+}
+
+func (f *fabric) switchShape() (switches, perSwitch int) { return f.switches, f.perSwitch }
+func (f *fabric) terminalLinks() []int                   { return f.termLink }
+
+// appendSwitchRoute is greedy descent on the destination's distance
+// table, taking the first distance-decreasing neighbor in link order at
+// every switch — deterministic and exactly dist[s][t] links long.
+func (f *fabric) appendSwitchRoute(buf []int, s, t int) ([]int, error) {
+	d := f.dist[t]
+	cur := s
+	for cur != t {
 		want := d[cur] - 1
 		found := false
 		for _, e := range f.swAdj[cur] {
@@ -143,10 +155,10 @@ func (f *fabric) route(t Topology, src, dst int, buf []int) ([]int, error) {
 			}
 		}
 		if !found {
-			return nil, fmt.Errorf("topology: BFS dead end at switch %d toward %d", cur, ds)
+			return nil, fmt.Errorf("topology: BFS dead end at switch %d toward %d", cur, t)
 		}
 	}
-	return append(buf, f.termLink[dst]), nil
+	return buf, nil
 }
 
 // switchDiameter returns the largest switch-graph distance (the network

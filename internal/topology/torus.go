@@ -152,10 +152,17 @@ func ringDist(a, b, size int) int {
 func (t *Torus) HopCount(src, dst int) int {
 	sx, sy, sz := t.coords(src)
 	dx, dy, dz := t.coords(dst)
+	return t.ringLen(sx, dx, t.x) + t.ringLen(sy, dy, t.y) + t.ringLen(sz, dz, t.z)
+}
+
+// ringLen is the length of a leg between coordinates a and b of a
+// dimension of the given size: the ring distance, or the straight one on
+// a mesh.
+func (t *Torus) ringLen(a, b, size int) int {
 	if !t.wrap {
-		return absDiff(sx, dx) + absDiff(sy, dy) + absDiff(sz, dz)
+		return absDiff(a, b)
 	}
-	return ringDist(sx, dx, t.x) + ringDist(sy, dy, t.y) + ringDist(sz, dz, t.z)
+	return ringDist(a, b, size)
 }
 
 func absDiff(a, b int) int {
@@ -165,10 +172,8 @@ func absDiff(a, b int) int {
 	return b - a
 }
 
-// Route implements Topology. Dimension-ordered: within one dimension the
-// shorter ring way never changes as the walk advances, so the direction
-// (positive on ties, direct on a mesh) is decided once per dimension and
-// the walk is plain stride arithmetic on the node id.
+// Route implements Topology. Dimension-ordered: X, then Y, then Z, each
+// leg walked by appendLeg.
 func (t *Torus) Route(src, dst int, buf []int) ([]int, error) {
 	if err := checkEndpoints(t, src, dst); err != nil {
 		return nil, err
@@ -177,151 +182,59 @@ func (t *Torus) Route(src, dst int, buf []int) ([]int, error) {
 	var sc, dc [3]int
 	sc[0], sc[1], sc[2] = t.coords(src)
 	dc[0], dc[1], dc[2] = t.coords(dst)
-	sizes := [3]int{t.x, t.y, t.z}
 	strides := [3]int{1, t.x, t.x * t.y}
 	cur := src
 	for dim := 0; dim < 3; dim++ {
-		from, to, size := sc[dim], dc[dim], sizes[dim]
-		if from == to {
+		if sc[dim] == dc[dim] {
 			continue
 		}
-		step, dir := 1, dim*2
-		n := to - from
-		if t.wrap {
-			fwd := (n + size) % size
-			if fwd <= size-fwd {
-				n = fwd
-			} else {
-				n = size - fwd
-				step, dir = -1, dim*2+1
-			}
-		} else if n < 0 {
-			n, step, dir = -n, -1, dim*2+1
+		var err error
+		if buf, err = t.appendLeg(buf, cur, sc[dim], dc[dim], dim); err != nil {
+			return nil, err
 		}
-		stride := strides[dim]
-		for i := 0; i < n; i++ {
-			li := t.dirLink[cur*6+dir]
-			if li < 0 {
-				return nil, fmt.Errorf("topology: torus missing link at node %d dir %d", cur, dir)
-			}
-			buf = append(buf, li)
-			next := from + step
-			if next == size {
-				next = 0
-			} else if next < 0 {
-				next = size - 1
-			}
-			cur += (next - from) * stride
-			from = next
-		}
+		cur += (dc[dim] - sc[dim]) * strides[dim]
 	}
 	return buf, nil
 }
 
-// FlowScratch holds the reusable buffers of AccumulateFlows so a caller
-// sweeping many sources allocates them once.
-type FlowScratch struct {
-	order  []int32
-	bucket []int32
-}
-
-// AccumulateFlows adds, onto linkBytes, the per-link byte loads of the
-// dimension-ordered routes from src to every destination node, where
-// dstBytes[v] is the volume bound for node v. It is exactly equivalent to
-// routing each (src, v) pair and adding dstBytes[v] along the route, but
-// runs in O(nodes) instead of O(nodes · hops): the routes from one source
-// form a tree (stepping one hop back along the arrival dimension never
-// flips the shorter-ring-way choice, so every route is a prefix of its
-// children's), and subtree volumes are accumulated leaf-to-root.
-//
-// dstBytes is used as the accumulation workspace and is left holding
-// partial subtree sums; callers must re-zero it before reuse. dstBytes and
-// linkBytes must be sized Nodes() and len(Links()) respectively.
-func (t *Torus) AccumulateFlows(src int, dstBytes, linkBytes []uint64, sc *FlowScratch) error {
-	n := t.Nodes()
-	if len(dstBytes) != n || len(linkBytes) != len(t.links) {
-		return fmt.Errorf("topology: AccumulateFlows buffer sizes %d/%d, want %d/%d",
-			len(dstBytes), len(linkBytes), n, len(t.links))
-	}
-	if src < 0 || src >= n {
-		return fmt.Errorf("topology: source %d out of range [0,%d)", src, n)
-	}
-	// Counting-sort nodes by hop count so children (hops h+1) are drained
-	// before their parents (hops h).
-	maxH := t.x + t.y + t.z
-	if cap(sc.bucket) < maxH+1 {
-		sc.bucket = make([]int32, maxH+1)
-	}
-	bucket := sc.bucket[:maxH+1]
-	for i := range bucket {
-		bucket[i] = 0
-	}
-	if cap(sc.order) < n {
-		sc.order = make([]int32, n)
-	}
-	order := sc.order[:n]
-	for v := 0; v < n; v++ {
-		bucket[t.HopCount(src, v)]++
-	}
-	// Offsets for descending hop count.
-	pos := int32(0)
-	for h := maxH; h >= 0; h-- {
-		c := bucket[h]
-		bucket[h] = pos
-		pos += c
-	}
-	for v := 0; v < n; v++ {
-		h := t.HopCount(src, v)
-		order[bucket[h]] = int32(v)
-		bucket[h]++
-	}
-	sx, sy, sz := t.coords(src)
-	for _, v32 := range order {
-		v := int(v32)
-		if v == src {
-			break // hops 0 sorts last; nothing beyond it
-		}
-		b := dstBytes[v]
-		if b == 0 {
-			continue
-		}
-		// The arrival hop is in the last dimension (X, then Y, then Z
-		// walk order) where v differs from src; step one back toward the
-		// source coordinate along the chosen ring way.
-		vx, vy, vz := t.coords(v)
-		var from, to, size, dim, stride int
-		switch {
-		case vz != sz:
-			from, to, size, dim, stride = vz, sz, t.z, 2, t.x*t.y
-		case vy != sy:
-			from, to, size, dim, stride = vy, sy, t.y, 1, t.x
-		default:
-			from, to, size, dim, stride = vx, sx, t.x, 0, 1
-		}
-		step, dir := 1, dim*2 // direction of the prev -> v hop
-		if t.wrap {
-			fwd := (from - to + size) % size // steps walked in +direction
-			if fwd > size-fwd {
-				step, dir = -1, dim*2+1
-			}
-		} else if from < to {
+// appendLeg appends the links of one dimension-ordered leg: along
+// dimension dim from node cur, whose coordinate there is from, to
+// coordinate to. Within one dimension the shorter ring way never changes
+// as the walk advances, so the direction (positive on ties, direct on a
+// mesh) is decided once and the walk is plain stride arithmetic on the
+// node id.
+func (t *Torus) appendLeg(buf []int, cur, from, to, dim int) ([]int, error) {
+	size := [3]int{t.x, t.y, t.z}[dim]
+	stride := [3]int{1, t.x, t.x * t.y}[dim]
+	step, dir := 1, dim*2
+	n := to - from
+	if t.wrap {
+		fwd := (n + size) % size
+		if fwd <= size-fwd {
+			n = fwd
+		} else {
+			n = size - fwd
 			step, dir = -1, dim*2+1
 		}
-		prevC := from - step
-		if prevC < 0 {
-			prevC = size - 1
-		} else if prevC == size {
-			prevC = 0
-		}
-		prev := v + (prevC-from)*stride
-		li := t.dirLink[prev*6+dir]
-		if li < 0 {
-			return fmt.Errorf("topology: torus missing link at node %d dir %d", prev, dir)
-		}
-		linkBytes[li] += b
-		dstBytes[prev] += b
+	} else if n < 0 {
+		n, step, dir = -n, -1, dim*2+1
 	}
-	return nil
+	for i := 0; i < n; i++ {
+		li := t.dirLink[cur*6+dir]
+		if li < 0 {
+			return nil, fmt.Errorf("topology: torus missing link at node %d dir %d", cur, dir)
+		}
+		buf = append(buf, li)
+		next := from + step
+		if next == size {
+			next = 0
+		} else if next < 0 {
+			next = size - 1
+		}
+		cur += (next - from) * stride
+		from = next
+	}
+	return buf, nil
 }
 
 var _ Topology = (*Torus)(nil)

@@ -285,10 +285,11 @@ func TestRouteWalkMatchesRingDist(t *testing.T) {
 	}
 }
 
-// TestAccumulateFlowsMatchesPerPairRouting pins the tree-accumulation fast
-// path against the definitionally-correct per-pair route walk, over random
-// traffic on torus and mesh shapes including size-1 and size-2 dimensions.
-func TestAccumulateFlowsMatchesPerPairRouting(t *testing.T) {
+// TestTorusFlowKernelMatchesPerPairRouting pins the dimension-swept torus
+// kernel against the definitionally-correct per-pair route walk, over
+// random traffic on torus and mesh shapes including size-1 and size-2
+// dimensions, with sources in node order as netmodel feeds them.
+func TestTorusFlowKernelMatchesPerPairRouting(t *testing.T) {
 	shapes := []struct {
 		x, y, z int
 		wrap    bool
@@ -309,39 +310,41 @@ func TestAccumulateFlowsMatchesPerPairRouting(t *testing.T) {
 		}
 		n := tor.Nodes()
 		rng := rand.New(rand.NewSource(int64(n)))
-		dstBytes := make([]uint64, n)
 		want := make([]uint64, len(tor.Links()))
 		got := make([]uint64, len(tor.Links()))
-		var sc FlowScratch
+		k := NewFlowKernel(tor, got)
+		if _, ok := k.(*torusKernel); !ok {
+			t.Fatalf("%s: kernel %T, want *torusKernel", tor.Name(), k)
+		}
+		var wantHops uint64
 		var buf []int
 		for src := 0; src < n; src++ {
-			for i := range dstBytes {
-				dstBytes[i] = 0
-			}
 			for v := 0; v < n; v++ {
-				if v != src && rng.Intn(3) > 0 {
-					dstBytes[v] = uint64(rng.Intn(1000))
-				}
-			}
-			for v := 0; v < n; v++ {
-				if dstBytes[v] == 0 {
+				if v == src || rng.Intn(3) == 0 {
 					continue
 				}
+				b := uint64(rng.Intn(1000))
 				buf, err = tor.Route(src, v, buf)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, li := range buf {
-					want[li] += dstBytes[v]
+					want[li] += b
 				}
+				wantHops += b * uint64(len(buf))
+				k.Add(src, v, b, 1, 1)
 			}
-			if err := tor.AccumulateFlows(src, dstBytes, got, &sc); err != nil {
-				t.Fatal(err)
-			}
+		}
+		tot, err := k.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tot.ByteHops != wantHops || tot.GlobalMsgs != 0 {
+			t.Fatalf("%s: totals %+v, want byte hops %d and no global messages", tor.Name(), tot, wantHops)
 		}
 		for li := range want {
 			if want[li] != got[li] {
-				t.Fatalf("%s: link %d bytes %d (fast) != %d (per-pair)", tor.Name(), li, got[li], want[li])
+				t.Fatalf("%s: link %d bytes %d (kernel) != %d (per-pair)", tor.Name(), li, got[li], want[li])
 			}
 		}
 	}

@@ -52,9 +52,6 @@ func NewWriter(w io.Writer, meta Meta, nEvents uint64) (*Writer, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	if len(meta.App) > math.MaxUint16 {
-		return nil, fmt.Errorf("trace: app name too long (%d bytes)", len(meta.App))
-	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return nil, err

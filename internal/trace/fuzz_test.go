@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -154,4 +156,43 @@ func TestReadTraceHostileCountBoundsAllocation(t *testing.T) {
 			t.Fatalf("ReadTrace allocated %d bytes for a 27-byte body (want < 16 MiB)", r.alloc)
 		}
 	}
+}
+
+// FuzzReadTrace drives both trace decoders, ReadTrace (binary) and
+// ReadText, with arbitrary bytes. The contract under test: malformed
+// input is an error, never a panic, and any accepted trace validates and
+// survives a WriteTrace/ReadTrace round trip unchanged. The committed
+// corpus holds a valid binary trace, a truncated one, a header declaring
+// 2^24-1 events with none following, a header declaring 2^22 ranks, and
+// a valid text trace.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, read := range map[string]func(io.Reader) (*Trace, error){"binary": ReadTrace, "text": ReadText} {
+			tr, err := read(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s decoder accepted an invalid trace: %v", name, err)
+			}
+			var buf bytes.Buffer
+			if err := WriteTrace(&buf, tr); err != nil {
+				t.Fatalf("%s decoder accepted a trace WriteTrace rejects: %v", name, err)
+			}
+			back, err := ReadTrace(&buf)
+			if err != nil {
+				t.Fatalf("%s trace did not read back: %v", name, err)
+			}
+			if back.Meta.App != tr.Meta.App || back.Meta.Ranks != tr.Meta.Ranks ||
+				math.Float64bits(back.Meta.WallTime) != math.Float64bits(tr.Meta.WallTime) ||
+				len(back.Events) != len(tr.Events) {
+				t.Fatalf("%s trace changed in the round trip: %+v -> %+v", name, tr.Meta, back.Meta)
+			}
+			for i := range tr.Events {
+				if back.Events[i] != tr.Events[i] {
+					t.Fatalf("%s trace event %d changed in the round trip: %+v -> %+v", name, i, tr.Events[i], back.Events[i])
+				}
+			}
+		}
+	})
 }

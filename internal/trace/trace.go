@@ -12,6 +12,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Op identifies an MPI operation recorded in a trace.
@@ -152,10 +153,21 @@ type Meta struct {
 	WallTime float64
 }
 
-// Validate checks the metadata.
+// maxRanks is the largest rank count the binary format can carry: peer
+// and root ranks are stored as int32.
+const maxRanks = math.MaxInt32
+
+// Validate checks the metadata against what both trace formats can
+// carry, so a trace one decoder accepts can always be re-encoded.
 func (m Meta) Validate() error {
 	if m.Ranks <= 0 {
 		return fmt.Errorf("trace: non-positive rank count %d", m.Ranks)
+	}
+	if m.Ranks > maxRanks {
+		return fmt.Errorf("trace: rank count %d exceeds the format limit %d", m.Ranks, maxRanks)
+	}
+	if len(m.App) > math.MaxUint16 {
+		return fmt.Errorf("trace: app name too long (%d bytes)", len(m.App))
 	}
 	if m.WallTime < 0 {
 		return fmt.Errorf("trace: negative wall time %v", m.WallTime)

@@ -49,14 +49,16 @@ go test -run 'ChromeTrace|DebugRunTrace' ./internal/obs ./internal/service
 # (seeds only — no fuzzing engine) so a corpus entry that starts
 # crashing fails CI before any long fuzz run would find it.
 echo "=== go test (fuzz seed corpora) ==="
-go test -run 'Fuzz' ./internal/topology ./internal/service
+go test -run 'Fuzz' ./internal/topology ./internal/service ./internal/trace
 
-# The simulator and mapping layer benchmarks (congest: one simulation
-# per policy and one tolerance sweep; simnet: full and makespan-only
-# replays; mapping: greedy placement) run a single iteration each so
-# they cannot rot.
+# The simulator, mapping, network-model and accumulation layer
+# benchmarks (congest: one simulation per policy and one tolerance sweep;
+# simnet: full and makespan-only replays; mapping: greedy placement;
+# netmodel: every family's flow kernel on a dense and a stencil matrix;
+# comm: accumulation including a dense collective fanout) run a single
+# iteration each so they cannot rot.
 echo "=== go test (layer benchmarks, one iteration) ==="
-go test -run '^$' -bench . -benchtime 1x ./internal/congest ./internal/simnet ./internal/mapping
+go test -run '^$' -bench . -benchtime 1x ./internal/congest ./internal/simnet ./internal/mapping ./internal/netmodel ./internal/comm
 
 # perfbench is a nested module (netloc/perfbench), so the root
 # ./... patterns above never reach its unit tests.
