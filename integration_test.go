@@ -110,11 +110,11 @@ func TestTextAndBinaryCodecsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aBin, err := core.AnalyzeTrace(fromBin, core.Options{SkipTopologies: true})
+	aBin, err := core.AnalyzeTrace(fromBin, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aTxt, err := core.AnalyzeTrace(fromTxt, core.Options{SkipTopologies: true})
+	aTxt, err := core.AnalyzeTrace(fromTxt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMappingPipelineNeverLosesToConsecutive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, appName := range []string{"CESAR MOCFE", "LULESH", "CESAR Nekbone"} {
-		a, err := core.AnalyzeApp(appName, 64, core.Options{SkipTopologies: true})
+		a, err := core.AnalyzeApp(appName, 64, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestEnergyFollowsUtilization(t *testing.T) {
 // TestHarnessRendersHeatmapCompatibleMatrices ties harness analyses to the
 // heatmap renderer.
 func TestHarnessRendersHeatmapCompatibleMatrices(t *testing.T) {
-	a, err := core.AnalyzeApp("PARTISN", 168, core.Options{SkipTopologies: true})
+	a, err := core.AnalyzeApp("PARTISN", 168, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestHarnessExperimentsSmoke(t *testing.T) {
 func TestDimensionalityConsistentWithRankDistance(t *testing.T) {
 	for _, app := range workloads.All() {
 		ranks := app.RankCounts()[0]
-		a, err := core.AnalyzeApp(app.Name, ranks, core.Options{SkipTopologies: true})
+		a, err := core.AnalyzeApp(app.Name, ranks, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,28 +91,8 @@ func TestAnalyzeBigFFTNoP2P(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSkipTopologies(t *testing.T) {
-	a := analyze(t, "AMG", 8, Options{SkipTopologies: true})
-	if a.Torus != nil || a.FatTree != nil || a.Dragonfly != nil {
-		t.Fatal("topology results should be nil")
-	}
-	if a.Peers != 7 {
-		t.Errorf("peers = %d, want 7", a.Peers)
-	}
-}
-
-func TestAnalyzeSkipLinkTracking(t *testing.T) {
-	a := analyze(t, "AMG", 8, Options{SkipLinkTracking: true})
-	if a.Torus.UtilizationPct != 0 || a.Torus.UsedLinks != 0 {
-		t.Fatal("link metrics should be zero without tracking")
-	}
-	if a.Torus.PacketHops == 0 {
-		t.Fatal("hop metrics should still be computed")
-	}
-}
-
 func TestAnalyzeTable1Accounting(t *testing.T) {
-	a := analyze(t, "CESAR MOCFE", 64, Options{SkipTopologies: true})
+	a := analyze(t, "CESAR MOCFE", 64, Options{})
 	// Table 1: 19.0 MB, 5.01% p2p.
 	if math.Abs(a.VolMB-19.0) > 0.5 {
 		t.Errorf("volume = %v MB, want 19", a.VolMB)
@@ -163,11 +143,11 @@ func TestAnalyzeCoverageOption(t *testing.T) {
 			{Rank: 0, Op: trace.OpSend, Peer: 9, Root: -1, Bytes: 5},
 		},
 	}
-	a90, err := AnalyzeTrace(tr, Options{SkipTopologies: true})
+	a90, err := AnalyzeTrace(tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a100, err := AnalyzeTrace(tr, Options{Coverage: 1.0, SkipTopologies: true})
+	a100, err := AnalyzeTrace(tr, Options{Coverage: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

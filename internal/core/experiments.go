@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"netloc/internal/metrics"
 	"netloc/internal/netmodel"
 	"netloc/internal/topology"
+	"netloc/internal/workcache"
 	"netloc/internal/workloads"
 )
 
@@ -46,26 +46,12 @@ type Table1Row struct {
 // budget (rows keep table order).
 func Table1(opts Options) ([]Table1Row, error) {
 	opts = opts.WithEngine()
-	type cfg struct {
-		app   *workloads.App
-		ranks int
-	}
-	var cfgs []cfg
-	for _, app := range workloads.All() {
-		for _, ranks := range app.RankCounts() {
-			if opts.withinCap(ranks) {
-				cfgs = append(cfgs, cfg{app: app, ranks: ranks})
-			}
+	return cells(AllConfigurations(), opts, func(ref WorkloadRef, o Options) (Table1Row, error) {
+		app, err := workloads.Lookup(ref.App)
+		if err != nil {
+			return Table1Row{}, err
 		}
-	}
-	return runGrid(opts.Runner(), len(cfgs), func(i int) (Table1Row, error) {
-		app, ranks := cfgs[i].app, cfgs[i].ranks
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", app.Name, ranks))
-		defer cell.End()
-		o := opts
-		o.Span = cell
-		t, err := generateTrace(app, ranks, o)
+		t, err := Generate(workcache.SourceGenerate, ref, app.Generate, o)
 		if err != nil {
 			return Table1Row{}, err
 		}
@@ -74,7 +60,7 @@ func Table1(opts Options) ([]Table1Row, error) {
 		row := Table1Row{
 			App:   app.Name,
 			Star:  app.Star,
-			Ranks: ranks,
+			Ranks: ref.Ranks,
 			TimeS: t.Meta.WallTime,
 			VolMB: total / 1e6,
 		}
@@ -119,19 +105,7 @@ func Table2(opts Options) ([]Table2Row, error) {
 // worker budget; rows stay in table order regardless of Parallelism.
 func Table3(opts Options) ([]*Analysis, error) {
 	opts = opts.WithEngine()
-	var refs []WorkloadRef
-	for _, ref := range AllConfigurations() {
-		if opts.withinCap(ref.Ranks) {
-			refs = append(refs, ref)
-		}
-	}
-	return runGrid(opts.Runner(), len(refs), func(i int) (*Analysis, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		o := opts
-		o.Span = cell
+	return cells(AllConfigurations(), opts, func(ref WorkloadRef, o Options) (*Analysis, error) {
 		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s/%d: %w", ref.App, ref.Ranks, err)
@@ -173,22 +147,9 @@ type Table4Row struct {
 func Table4(opts Options) ([]Table4Row, error) {
 	opts = opts.WithEngine()
 	q := opts.coverage()
-	var refs []WorkloadRef
-	for _, ref := range Table4Workloads {
-		if opts.withinCap(ref.Ranks) {
-			refs = append(refs, ref)
-		}
-	}
 	eng := opts.engine()
-	return runGrid(opts.Runner(), len(refs), func(i int) (Table4Row, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		o := opts
-		o.SkipTopologies = true
-		o.Span = cell
-		a, err := AnalyzeApp(ref.App, ref.Ranks, o)
+	return cells(Table4Workloads, opts, func(ref WorkloadRef, o Options) (Table4Row, error) {
+		a, err := appMetrics(ref, o)
 		if err != nil {
 			return Table4Row{}, err
 		}
@@ -217,9 +178,7 @@ func Table4(opts Options) ([]Table4Row, error) {
 // Figure1 returns the sorted partner-volume curve of one rank (the paper
 // uses LULESH rank 0).
 func Figure1(app string, ranks, rank int, opts Options) ([]float64, error) {
-	o := opts
-	o.SkipTopologies = true
-	a, err := AnalyzeApp(app, ranks, o)
+	a, err := appMetrics(WorkloadRef{App: app, Ranks: ranks}, opts.WithEngine())
 	if err != nil {
 		return nil, err
 	}
@@ -248,9 +207,6 @@ type Figure3Curve struct {
 // the call fails with an error listing the smallest admissible cap
 // instead of returning a silently empty figure.
 func Figure3(opts Options) ([]Figure3Curve, error) {
-	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
 	var refs []WorkloadRef
 	smallest := 0
 	for _, app := range workloads.All() {
@@ -271,19 +227,39 @@ func Figure3(opts Options) ([]Figure3Curve, error) {
 		return nil, fmt.Errorf("core: MaxRanks %d excludes every workload configuration (smallest configured scale: %d ranks)",
 			opts.MaxRanks, smallest)
 	}
-	curves, err := runGrid(opts.Runner(), len(refs), func(i int) (*Figure3Curve, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		oc := o
-		oc.Span = cell
-		a, err := AnalyzeApp(ref.App, ref.Ranks, oc)
-		if err != nil {
+	return curves(refs, opts)
+}
+
+// Figure4 computes the selectivity-scaling curves of one application
+// across all its configurations (the paper shows AMG). A MaxRanks cap
+// below the app's smallest configuration is an error listing the
+// configured scales — the caller asked for this specific app, so an
+// empty figure would silently hide the mismatch.
+func Figure4(appName string, opts Options) ([]Figure3Curve, error) {
+	app, err := workloads.Lookup(appName)
+	if err != nil {
+		return nil, err
+	}
+	if !opts.withinCap(app.RankCounts()[0]) {
+		return nil, fmt.Errorf("core: MaxRanks %d excludes every %s configuration (configured: %v)",
+			opts.MaxRanks, app.Name, app.RankCounts())
+	}
+	var refs []WorkloadRef
+	for _, ranks := range app.RankCounts() {
+		refs = append(refs, WorkloadRef{App: appName, Ranks: ranks})
+	}
+	return curves(refs, opts)
+}
+
+// curves runs the cumulative traffic-share curve of every configuration
+// in refs (the body Figures 3 and 4 share) and drops the pure-collective
+// workloads, which the paper's figures omit, keeping refs order.
+func curves(refs []WorkloadRef, opts Options) ([]Figure3Curve, error) {
+	opts = opts.WithEngine()
+	all, err := cells(refs, opts, func(ref WorkloadRef, o Options) (*Figure3Curve, error) {
+		a, err := appMetrics(ref, o)
+		if err != nil || !a.HasP2P {
 			return nil, err
-		}
-		if !a.HasP2P {
-			return nil, nil // the paper's figure omits the pure-collective apps
 		}
 		shares, err := metrics.CumulativeCurve(a.Acc.P2P)
 		if err != nil {
@@ -297,64 +273,7 @@ func Figure3(opts Options) ([]Figure3Curve, error) {
 		return nil, err
 	}
 	var out []Figure3Curve
-	for _, c := range curves {
-		if c != nil {
-			out = append(out, *c)
-		}
-	}
-	return out, nil
-}
-
-// Figure4 computes the selectivity-scaling curves of one application
-// across all its configurations (the paper shows AMG). A MaxRanks cap
-// below the app's smallest configuration is an error listing the
-// configured scales — the caller asked for this specific app, so an
-// empty figure would silently hide the mismatch.
-func Figure4(appName string, opts Options) ([]Figure3Curve, error) {
-	app, err := workloads.Lookup(appName)
-	if err != nil {
-		return nil, err
-	}
-	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
-	var rankList []int
-	for _, ranks := range app.RankCounts() {
-		if opts.withinCap(ranks) {
-			rankList = append(rankList, ranks)
-		}
-	}
-	if len(rankList) == 0 {
-		return nil, fmt.Errorf("core: MaxRanks %d excludes every %s configuration (configured: %v)",
-			opts.MaxRanks, app.Name, app.RankCounts())
-	}
-	curves, err := runGrid(opts.Runner(), len(rankList), func(i int) (*Figure3Curve, error) {
-		ranks := rankList[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", appName, ranks))
-		defer cell.End()
-		oc := o
-		oc.Span = cell
-		a, err := AnalyzeApp(appName, ranks, oc)
-		if err != nil {
-			return nil, err
-		}
-		if !a.HasP2P {
-			return nil, nil
-		}
-		shares, err := metrics.CumulativeCurve(a.Acc.P2P)
-		if err != nil {
-			return nil, err
-		}
-		return &Figure3Curve{
-			App: appName, Ranks: ranks, Shares: shares, Selectivity: a.Selectivity,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Figure3Curve
-	for _, c := range curves {
+	for _, c := range all {
 		if c != nil {
 			out = append(out, *c)
 		}
@@ -380,22 +299,14 @@ type Figure5Series struct {
 // point-to-point and collective messages.
 func Figure5(minRanks int, opts Options) ([]Figure5Series, error) {
 	opts = opts.WithEngine()
-	o := opts
-	o.SkipTopologies = true
 	var refs []WorkloadRef
 	for _, ref := range AllConfigurations() {
-		if ref.Ranks >= minRanks && opts.withinCap(ref.Ranks) {
+		if ref.Ranks >= minRanks {
 			refs = append(refs, ref)
 		}
 	}
-	return runGrid(opts.Runner(), len(refs), func(i int) (Figure5Series, error) {
-		ref := refs[i]
-		cell := opts.Span.Start("cell")
-		cell.SetLabel(fmt.Sprintf("%s/%d", ref.App, ref.Ranks))
-		defer cell.End()
-		oc := o
-		oc.Span = cell
-		a, err := AnalyzeApp(ref.App, ref.Ranks, oc)
+	return cells(refs, opts, func(ref WorkloadRef, o Options) (Figure5Series, error) {
+		a, err := appMetrics(ref, o)
 		if err != nil {
 			return Figure5Series{}, err
 		}
@@ -504,14 +415,4 @@ func SummarizeClaims(rows []*Analysis) Claims {
 		c.DragonflyGlobalSharePct = 100 * s / float64(len(globalShares))
 	}
 	return c
-}
-
-// SortAnalyses orders rows by app name then rank count (table order).
-func SortAnalyses(rows []*Analysis) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].App != rows[j].App {
-			return rows[i].App < rows[j].App
-		}
-		return rows[i].Ranks < rows[j].Ranks
-	})
 }

@@ -2,6 +2,7 @@ package design
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,32 +49,22 @@ func resolveTrace(req Request, opts core.Options) (*trace.Trace, string, error) 
 		}
 		return req.Trace, "", nil
 	}
-	name := strings.ToLower(req.App)
-	if name == "milc" {
-		t, err := opts.Cache.Trace(workcache.TraceKey{Source: sourceMILC, App: "milc", Ranks: req.Ranks},
-			func() (*trace.Trace, error) { return milcTrace(req.Ranks) })
-		if err != nil {
-			return nil, "", err
-		}
-		return t, sourceMILC, nil
+	if strings.EqualFold(req.App, "milc") {
+		t, err := core.Generate(sourceMILC, core.WorkloadRef{App: "milc", Ranks: req.Ranks}, milcTrace, opts)
+		return t, sourceMILC, err
 	}
 	app, err := lookupFold(req.App)
 	if err != nil {
 		return nil, "", err
 	}
 	// Exact configured scales share the core experiments' cache slots;
-	// the extrapolated fallback keys separately.
-	t, err := opts.Cache.Trace(workcache.TraceKey{Source: workcache.SourceGenerate, App: app.Name, Ranks: req.Ranks},
-		func() (*trace.Trace, error) { return app.Generate(req.Ranks) })
-	if err == nil {
-		return t, workcache.SourceGenerate, nil
+	// the extrapolated generator keys separately.
+	source, gen := workcache.SourceGenerate, app.Generate
+	if !slices.Contains(app.RankCounts(), req.Ranks) {
+		source, gen = workcache.SourceGenerateAt, app.GenerateAt
 	}
-	t, err = opts.Cache.Trace(workcache.TraceKey{Source: workcache.SourceGenerateAt, App: app.Name, Ranks: req.Ranks},
-		func() (*trace.Trace, error) { return app.GenerateAt(req.Ranks) })
-	if err != nil {
-		return nil, "", err
-	}
-	return t, workcache.SourceGenerateAt, nil
+	t, err := core.Generate(source, core.WorkloadRef{App: app.Name, Ranks: req.Ranks}, gen, opts)
+	return t, source, err
 }
 
 // knownApp reports whether a design request may name this workload, so
