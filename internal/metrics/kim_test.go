@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,18 @@ import (
 	"netloc/internal/trace"
 	"netloc/internal/workloads"
 )
+
+// This file holds the classic communication-locality metrics of
+// Kim & Lilja ("Characterization of communication patterns in
+// message-passing parallel scientific application programs", 1998) that
+// the paper's related-work section discusses: message *destination*
+// locality and message *size* locality, both defined as LRU-stack reuse
+// probabilities over each rank's send stream. The paper notes these
+// metrics are "relatively insensitive to system and problem size
+// variations" — which is exactly why it introduces rank locality and
+// selectivity instead. They are reference metrics, not part of the
+// analyses: TestKimMetricsScaleInsensitivity computes them side by side
+// with rank locality to verify that observation.
 
 func sendEvent(rank, peer int, bytes uint64) trace.Event {
 	return trace.Event{Rank: rank, Op: trace.OpSend, Peer: peer, Root: -1, Bytes: bytes}
@@ -189,4 +202,95 @@ func p2pMatrix(tr *trace.Trace) (*comm.Matrix, error) {
 		}
 	}
 	return m, nil
+}
+
+// KimResult holds the reuse probabilities for stack depths 1..len(Hits).
+type KimResult struct {
+	// Hits[d-1] is the probability that a message's destination (or
+	// size) is among the d most recently used values of the same rank.
+	Hits []float64
+	// Samples is the number of messages that had at least one
+	// predecessor on their rank (the first message of a rank cannot
+	// score a hit).
+	Samples int
+}
+
+// lruStack is a tiny move-to-front list for reuse-distance measurement.
+type lruStack struct {
+	vals []uint64
+}
+
+// touch returns the 1-based stack position of v (0 if absent) and moves v
+// to the front.
+func (s *lruStack) touch(v uint64, maxDepth int) int {
+	pos := 0
+	for i, x := range s.vals {
+		if x == v {
+			pos = i + 1
+			copy(s.vals[1:i+1], s.vals[:i])
+			s.vals[0] = v
+			return pos
+		}
+	}
+	s.vals = append(s.vals, 0)
+	copy(s.vals[1:], s.vals)
+	s.vals[0] = v
+	if len(s.vals) > maxDepth {
+		s.vals = s.vals[:maxDepth]
+	}
+	return 0
+}
+
+// kimLocality measures LRU reuse probabilities of a per-rank value stream.
+func kimLocality(t *trace.Trace, depth int, value func(e trace.Event) uint64) (KimResult, error) {
+	if depth < 1 {
+		return KimResult{}, fmt.Errorf("metrics: depth must be >= 1, got %d", depth)
+	}
+	stacks := make([]lruStack, t.Meta.Ranks)
+	started := make([]bool, t.Meta.Ranks)
+	hits := make([]int, depth)
+	samples := 0
+	// Keep the stack two entries deeper than the deepest query so a
+	// value evicted just beyond the horizon does not miscount as new.
+	keep := depth + 2
+	for _, e := range t.Events {
+		if e.Op != trace.OpSend {
+			continue
+		}
+		v := value(e)
+		st := &stacks[e.Rank]
+		if !started[e.Rank] {
+			started[e.Rank] = true
+			st.touch(v, keep)
+			continue
+		}
+		samples++
+		if pos := st.touch(v, keep); pos > 0 && pos <= depth {
+			hits[pos-1]++
+		}
+	}
+	res := KimResult{Hits: make([]float64, depth), Samples: samples}
+	if samples == 0 {
+		return res, nil
+	}
+	cum := 0
+	for d := 0; d < depth; d++ {
+		cum += hits[d]
+		res.Hits[d] = float64(cum) / float64(samples)
+	}
+	return res, nil
+}
+
+// DestinationLocality measures Kim & Lilja's message destination locality:
+// the probability that a point-to-point message goes to one of the d most
+// recent destinations of the same rank, for d = 1..depth.
+func DestinationLocality(t *trace.Trace, depth int) (KimResult, error) {
+	return kimLocality(t, depth, func(e trace.Event) uint64 { return uint64(e.Peer) })
+}
+
+// SizeLocality measures Kim & Lilja's message size locality: the
+// probability that a message's payload size is among the d most recent
+// sizes used by the same rank.
+func SizeLocality(t *trace.Trace, depth int) (KimResult, error) {
+	return kimLocality(t, depth, func(e trace.Event) uint64 { return e.Bytes })
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -248,6 +249,23 @@ func TestExpandUnknownOpErrors(t *testing.T) {
 	}
 }
 
+// expandTrace translates a whole trace into wire messages, event by
+// event through ExpandEvent.
+func expandTrace(t *trace.Trace, opts ExpandOptions) ([]Message, error) {
+	world, err := World(t.Meta.Ranks)
+	if err != nil {
+		return nil, err
+	}
+	msgs := make([]Message, 0, len(t.Events))
+	for i, e := range t.Events {
+		msgs, err = ExpandEvent(msgs, e, world, opts)
+		if err != nil {
+			return nil, fmt.Errorf("mpi: event %d: %w", i, err)
+		}
+	}
+	return msgs, nil
+}
+
 func TestExpandTraceWholeCollective(t *testing.T) {
 	// A 4-rank gather recorded once per rank expands to exactly 3 wire
 	// messages overall (the root event contributes none).
@@ -255,7 +273,7 @@ func TestExpandTraceWholeCollective(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		tr.Events = append(tr.Events, trace.Event{Rank: r, Op: trace.OpGather, Peer: -1, Root: 0, Bytes: 10})
 	}
-	msgs, err := ExpandTrace(tr, ExpandOptions{})
+	msgs, err := expandTrace(tr, ExpandOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +292,7 @@ func TestExpandTraceAlltoallPairCount(t *testing.T) {
 	for r := 0; r < n; r++ {
 		tr.Events = append(tr.Events, trace.Event{Rank: r, Op: trace.OpAlltoall, Peer: -1, Root: -1, Bytes: 5 * (n - 1)})
 	}
-	msgs, err := ExpandTrace(tr, ExpandOptions{})
+	msgs, err := expandTrace(tr, ExpandOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,28 +56,3 @@ func (g *Graph) BFSFrom(src int) ([]int, error) {
 	}
 	return dist, nil
 }
-
-// Connected reports whether every vertex is reachable from vertex 0.
-func (g *Graph) Connected() (bool, error) {
-	if g.n == 0 {
-		return true, nil
-	}
-	dist, err := g.BFSFrom(0)
-	if err != nil {
-		return false, err
-	}
-	for _, d := range dist {
-		if d == -1 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) (int, error) {
-	if v < 0 || v >= g.n {
-		return 0, fmt.Errorf("topology: vertex %d out of range [0,%d)", v, g.n)
-	}
-	return len(g.adj[v]), nil
-}

@@ -98,24 +98,3 @@ func pairKey(a, b int) [2]int {
 	}
 	return [2]int{a, b}
 }
-
-// Diameter returns the largest hop count between any pair of compute
-// nodes under the topology's routing (for minimal routing this is the
-// network diameter over endpoints). O(Nodes²) — intended for analysis and
-// tests, not hot paths.
-func Diameter(t Topology) int {
-	max := 0
-	// Ordered pairs: non-minimal schemes (e.g. Valiant) need not be
-	// symmetric in src and dst.
-	for s := 0; s < t.Nodes(); s++ {
-		for d := 0; d < t.Nodes(); d++ {
-			if s == d {
-				continue
-			}
-			if h := t.HopCount(s, d); h > max {
-				max = h
-			}
-		}
-	}
-	return max
-}
