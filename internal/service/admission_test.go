@@ -85,10 +85,20 @@ func (s *signalReader) Read(p []byte) (int, error) {
 	return s.r.Read(p)
 }
 
+// uploadPaths are the endpoints whose body is a trace upload; both read it
+// through the same admitted-upload path.
+var uploadPaths = map[string]string{"analyze": "/v1/traces/analyze", "design": "/v1/design/trace"}
+
 // An upload must be admitted before its body is parsed: with every token
 // taken the handler waits without reading a byte, and reads and answers
 // once a token frees.
 func TestTraceAnalyzeAdmitsBeforeReadingBody(t *testing.T) {
+	for name, path := range uploadPaths {
+		t.Run(name, func(t *testing.T) { testAdmitsBeforeReadingBody(t, path) })
+	}
+}
+
+func testAdmitsBeforeReadingBody(t *testing.T, path string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -108,7 +118,7 @@ func TestTraceAnalyzeAdmitsBeforeReadingBody(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces/analyze", body))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
 	}()
 	select {
 	case <-body.read:
@@ -142,6 +152,12 @@ func TestTraceAnalyzeAdmitsBeforeReadingBody(t *testing.T) {
 // token returns to the pool; time spent queued for admission does not
 // count against the deadline.
 func TestTraceAnalyzeStalledBodyReleasesToken(t *testing.T) {
+	for name, path := range uploadPaths {
+		t.Run(name, func(t *testing.T) { testStalledBodyReleasesToken(t, path) })
+	}
+}
+
+func testStalledBodyReleasesToken(t *testing.T, path string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -169,7 +185,7 @@ func TestTraceAnalyzeStalledBodyReleasesToken(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(deadline)
-		fmt.Fprintf(conn, "POST /v1/traces/analyze HTTP/1.1\r\nHost: netloc\r\nContent-Length: %d\r\n\r\n", len(full))
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: netloc\r\nContent-Length: %d\r\n\r\n", path, len(full))
 		conn.Write(full[:n])
 		status := make(chan int, 1)
 		go func() {

@@ -14,7 +14,6 @@ import (
 	"netloc/internal/design"
 	"netloc/internal/obs"
 	"netloc/internal/report"
-	"netloc/internal/trace"
 )
 
 // designOptions builds the core.Options a design search runs under: the
@@ -36,8 +35,14 @@ func (s *Server) designOptions() core.Options {
 func (s *Server) designSearch(ctx context.Context, req design.Request, opts core.Options) (*design.Sheet, error) {
 	start := time.Now()
 	s.budget.Acquire()
-	queueWait := time.Since(start)
 	defer s.budget.Release()
+	return s.admittedDesignSearch(ctx, req, opts, start, time.Since(start))
+}
+
+// admittedDesignSearch runs one search on the worker token its caller
+// already holds, under a root span, and records the run; start and
+// queueWait date the request's arrival and its wait for that token.
+func (s *Server) admittedDesignSearch(ctx context.Context, req design.Request, opts core.Options, start time.Time, queueWait time.Duration) (*design.Sheet, error) {
 	s.metrics.computations.Inc()
 	root := s.tracer.StartRun(req.CanonicalKey())
 	opts.Span = root
@@ -115,23 +120,23 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 // workload is the body; the candidate space comes from query parameters
 // (families, mappings as comma lists; radix, switches, links,
 // candidates as integers; whops, wmakespan, wcost as weights). Uploads
-// are not cached, but they run inside the worker pool like
-// /v1/traces/analyze.
+// are not cached; like /v1/traces/analyze, the body is admitted before it
+// is read (readAdmittedTrace) and the search runs on that same token.
 func (s *Server) handleDesignTrace(w http.ResponseWriter, r *http.Request) {
 	req, err := designQueryRequest(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	defer body.Close()
-	t, err := trace.ReadTrace(body)
+	start := time.Now()
+	t, queueWait, err := s.readAdmittedTrace(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad trace body: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	req.Trace = t
-	sheet, err := s.designSearch(r.Context(), req, s.designOptions())
+	sheet, err := s.admittedDesignSearch(r.Context(), req, s.designOptions(), start, queueWait)
+	s.budget.Release()
 	if err != nil {
 		writeError(w, designStatus(err), err)
 		return

@@ -808,34 +808,21 @@ func (s *Server) handleTopologies(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceAnalyze analyzes a POSTed binary .nlt trace. Uploads are
 // not cached (bodies are arbitrary), but they do run inside the worker
-// pool so uploads cannot starve the experiment endpoints. Admission comes
-// first: the body is not read, let alone decoded, until a token frees.
-// The body must then arrive within uploadRead, so a client that stalls
-// mid-upload gives its token back instead of holding it indefinitely.
+// pool so uploads cannot starve the experiment endpoints; see
+// readAdmittedTrace for how the body is admitted and read.
 func (s *Server) handleTraceAnalyze(w http.ResponseWriter, r *http.Request) {
 	opts, err := s.analysisOptions(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	defer body.Close()
 	info := requestInfo(r)
 	start := time.Now()
-	s.budget.Acquire()
-	queueWait := time.Since(start)
-	// A writer without a connection (a recorder) has no deadline to set.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(s.uploadRead))
-	t, err := trace.ReadTrace(body)
+	t, queueWait, err := s.readAdmittedTrace(w, r)
 	if err != nil {
-		// The deadline stays set: it also bounds the server's drain of
-		// the unread body before the 400 goes out.
-		s.budget.Release()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad trace body: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	_ = rc.SetReadDeadline(time.Time{})
 	s.metrics.computations.Inc()
 	root := s.tracer.StartRun(fmt.Sprintf("trace/%s/%d", t.Meta.App, t.Meta.Ranks))
 	opts.Span = root
@@ -858,4 +845,32 @@ func (s *Server) handleTraceAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	a.Acc = nil
 	writeJSON(w, &harness.Result{Experiment: "trace", Rows: []*core.Analysis{a}})
+}
+
+// readAdmittedTrace reads a trace upload under admission control.
+// Admission comes first: the body is not read, let alone decoded, until
+// a worker token frees. The body must then arrive within uploadRead, so
+// a client that stalls mid-upload gives its token back instead of
+// holding it indefinitely. On success the caller holds the token and
+// must Release it; on a read or decode error the token is already
+// released and the error is the client's 400. queueWait is the time
+// spent waiting for admission.
+func (s *Server) readAdmittedTrace(w http.ResponseWriter, r *http.Request) (t *trace.Trace, queueWait time.Duration, err error) {
+	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
+	defer body.Close()
+	start := time.Now()
+	s.budget.Acquire()
+	queueWait = time.Since(start)
+	// A writer without a connection (a recorder) has no deadline to set.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.uploadRead))
+	t, err = trace.ReadTrace(body)
+	if err != nil {
+		// The deadline stays set: it also bounds the server's drain of
+		// the unread body before the 400 goes out.
+		s.budget.Release()
+		return nil, queueWait, fmt.Errorf("service: bad trace body: %w", err)
+	}
+	_ = rc.SetReadDeadline(time.Time{})
+	return t, queueWait, nil
 }

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -143,22 +144,31 @@ func TestExperimentJSONMatchesCSV(t *testing.T) {
 // TestCacheHitFasterAndCounted is the caching acceptance test: a
 // repeated identical request must be served from the cache (visible in
 // the /metrics counters) and at least 10x faster than the cold request.
+// The warm time is the median of several repeats, so one hit that lands
+// on a moment the test process is descheduled cannot decide the
+// comparison.
 func TestCacheHitFasterAndCounted(t *testing.T) {
 	ts := newTestServer(t, Options{})
 	const path = "/v1/experiments/table3?maxranks=100"
+	const warmRepeats = 5
 
 	before := metricsSnapshot(t, ts)
 	coldStart := time.Now()
 	cold := getOK(t, ts, path)
 	coldDur := time.Since(coldStart)
 
-	warmStart := time.Now()
-	warm := getOK(t, ts, path)
-	warmDur := time.Since(warmStart)
-
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("cached response differs from cold response")
+	warmDurs := make([]time.Duration, warmRepeats)
+	for i := range warmDurs {
+		warmStart := time.Now()
+		warm := getOK(t, ts, path)
+		warmDurs[i] = time.Since(warmStart)
+		if !bytes.Equal(cold, warm) {
+			t.Fatal("cached response differs from cold response")
+		}
 	}
+	slices.Sort(warmDurs)
+	warmDur := warmDurs[warmRepeats/2]
+
 	after := metricsSnapshot(t, ts)
 	if hits := after.Cache.Hits - before.Cache.Hits; hits < 1 {
 		t.Errorf("cache hits = %d, want >= 1", hits)
