@@ -53,6 +53,12 @@ import (
 	"netloc/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so clients that open connections and trickle header
+// bytes cannot hold them open indefinitely. Bodies have their own
+// bounds: trace uploads are read under the service's upload deadline.
+const readHeaderTimeout = 5 * time.Second
+
 // run listens on addr and serves the analysis service until ctx is
 // cancelled, then shuts down gracefully. With debug set, the Go pprof
 // profiling endpoints are mounted under /debug/pprof/ next to the
@@ -76,7 +82,7 @@ func run(ctx context.Context, addr string, opts service.Options, debug bool, rea
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	if ready != nil {
 		ready(ln.Addr().String(), svc.Options())
 	}

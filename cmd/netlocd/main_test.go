@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -80,5 +82,59 @@ func TestRunServesAndShutsDown(t *testing.T) {
 func TestRunBadAddress(t *testing.T) {
 	if err := run(context.Background(), "256.0.0.1:bad", service.Options{}, false, nil); err == nil {
 		t.Fatal("bad address accepted")
+	}
+}
+
+// TestRunCutsOffStalledHeaders opens a connection that sends part of a
+// request line and then stalls: the server must close it once
+// readHeaderTimeout passes instead of holding it open.
+func TestRunCutsOffStalledHeaders(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), readHeaderTimeout+20*time.Second)
+	defer cancel()
+	srvCtx, stop := context.WithCancel(ctx)
+	defer stop()
+	bound := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(srvCtx, "127.0.0.1:0", service.Options{}, false, func(addr string, _ service.Options) { bound <- addr })
+	}()
+	var addr string
+	select {
+	case addr = <-bound:
+	case err := <-done:
+		t.Fatalf("server exited early: %v", err)
+	case <-ctx.Done():
+		t.Fatal("server never came up")
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	deadline, _ := ctx.Deadline()
+	conn.SetDeadline(deadline)
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: netloc\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled header connection still open after %v", elapsed)
+	}
+	if elapsed < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
+	}
+
+	stop()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown error: %v", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("server never shut down")
 	}
 }
